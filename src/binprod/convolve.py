@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Tuple
 
 from . import symfun
@@ -373,8 +374,7 @@ def closed_form_bprod(j: int, alpha, k: int, beta) -> RatFun:
     if j < 0 or k < 0:
         raise InvalidInput("indices must be nonnegative")
     alpha, beta = _fr(alpha), _fr(beta)
-    coeff = binomial_coefficients(j + k + 1)[j + k][j]
-    num = Poly.monomial(j + k, coeff)
+    num = Poly.monomial(j + k, comb(j + k, j))
     den = Poly([1, -(alpha + beta)]) ** (j + k + 1)
     return RatFun(num, den)
 
@@ -414,11 +414,9 @@ def closed_form_hprod(i: int, a, m: int, j: int, b, n: int) -> RatFun:
     if i > m + j or j > n + i:
         raise InvalidInput("need i <= m+j and j <= n+i for the closed form")
     a, b = _fr(a), _fr(b)
-    top = max(m + j, n + i)
-    binom = binomial_coefficients(top + 1)
     coeffs = [Fraction(0)] * (min(n + i, m + j) + 1)
     for k in range(max(i, j), min(n + i, m + j) + 1):
-        coeffs[k] = binom[m + j - i][k - i] * binom[n + i - j][k - j] * a ** (k - i) * b ** (k - j)
+        coeffs[k] = comb(m + j - i, k - i) * comb(n + i - j, k - j) * a ** (k - i) * b ** (k - j)
     den = Poly([1, -a * b]) ** (m + n + 1)
     return RatFun(Poly(coeffs), den)
 

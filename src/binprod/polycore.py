@@ -12,6 +12,14 @@ together with fraction-free (Bareiss) determinants, Sylvester matrices and
 resultants, and the y-substitutions that turn denominator products such as
 prod(1 - (alpha_i + beta_j) x) into a single resultant computation.
 
+The two hot kernels leave `Fraction` for plain integers.  Determinants clear
+denominators row by row and eliminate in Z[x] (Bareiss, Math. Comp. 22,
+1968), dividing by the row scales once at the end.  `poly_gcd` first looks
+at the images of its arguments in GF(p)[x] for the prime p = 2^61 - 1: when
+p divides neither leading coefficient and the images are coprime, so are the
+arguments, and the answer 1 needs no arithmetic over Q (Brown, J. ACM 18,
+1971).  Otherwise it runs Euclid's algorithm with monic remainders over Q.
+
 Every value is immutable after construction and every function is pure, so
 values can be shared freely between threads.
 """
@@ -19,7 +27,7 @@ values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DivisibilityError, InvalidInput
@@ -328,15 +336,63 @@ def format_poly(p: Poly, var: str = "x") -> str:
     return "".join(pieces)
 
 
+_GCD_PRIME = (1 << 61) - 1
+
+
+def _scaled_numerators(coeffs: Sequence[Fraction], scale: int) -> list:
+    """The integers scale * c, for a scale that every denominator divides."""
+    return [c.numerator * (scale // c.denominator) for c in coeffs]
+
+
+def _coprime_mod_p(a: Poly, b: Poly) -> bool:
+    """True only if a and b are certainly coprime over Q.
+
+    Both are cleared to integer polynomials and their gcd is taken in
+    GF(p)[x].  A common factor over Q can be taken primitive in Z[x]; its
+    leading coefficient divides those of the cleared arguments, so when p
+    divides neither, the factor keeps its degree mod p and divides both
+    images.  A constant image gcd therefore proves gcd(a, b) = 1.  False
+    means only that this prime gives no proof.
+    """
+    p = _GCD_PRIME
+    images = []
+    for f in (a, b):
+        ints = _scaled_numerators(f.coeffs, lcm(*(c.denominator for c in f.coeffs)))
+        if ints[-1] % p == 0:
+            return False
+        images.append([c % p for c in ints])
+    u, v = images
+    while len(v) > 1:
+        inv = pow(v[-1], -1, p)
+        dv = len(v) - 1
+        for k in range(len(u) - 1 - dv, -1, -1):
+            c = u[k + dv] * inv % p
+            if c:
+                for j in range(dv):
+                    u[k + j] = (u[k + j] - c * v[j]) % p
+        del u[dv:]
+        while u and not u[-1]:
+            u.pop()
+        if not u:
+            return False
+        u, v = v, u
+    return True
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, b) is monic(b).
 
-    Raises InvalidInput when both arguments are zero.  Remainders are made
-    monic at every step, which keeps Fraction growth tame at the small
-    degrees used here.
+    Raises InvalidInput when both arguments are zero.  Nonzero arguments
+    first go through `_coprime_mod_p`, which returns 1 when the images in
+    GF(p)[x], p = 2^61 - 1, are coprime and p divides neither cleared
+    leading coefficient; that answer is exact, not probabilistic.  Every
+    other pair, including those that share a factor, runs Euclid's algorithm
+    over Q with each remainder made monic.
     """
     if a.is_zero() and b.is_zero():
         raise InvalidInput("gcd(0, 0) is undefined")
+    if not a.is_zero() and not b.is_zero() and _coprime_mod_p(a, b):
+        return Poly.one()
     while not b.is_zero():
         a, b = b, (a % b)
         if not b.is_zero():
@@ -501,39 +557,85 @@ class Matrix:
         return f"Matrix({body})"
 
 
-def det_fraction_free(m: Matrix) -> Poly:
-    """Determinant by one-step fraction-free (Bareiss) elimination.
+def _zx_cross(p: list, q: list, r: list, s: list) -> list:
+    """p*q - r*s in Z[x]; coefficient lists from x^0 up, trimmed."""
+    out = [0] * max(len(p) + len(q) - 1, len(r) + len(s) - 1, 0)
+    for i, c in enumerate(p):
+        if c:
+            for j, d in enumerate(q):
+                out[i + j] += c * d
+    for i, c in enumerate(r):
+        if c:
+            for j, d in enumerate(s):
+                out[i + j] -= c * d
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    Every division performed is exact in Q[x], which the algorithm guarantees
-    for matrices over an integral domain.  The determinant of the empty (0x0)
-    matrix is 1.
+
+def _zx_exact_div(a: list, b: list) -> list:
+    """a / b in Z[x], raising DivisibilityError unless the quotient is in Z[x]."""
+    if not a:
+        return []
+    db = len(b) - 1
+    if db == 0 and b[0] == 1:
+        return a
+    lead = b[-1]
+    rem = list(a)
+    quo = [0] * max(len(rem) - db, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem[k + db], lead)
+        if r:
+            raise DivisibilityError("Bareiss division is not exact in Z[x]")
+        if c:
+            quo[k] = c
+            for j in range(db):
+                rem[k + j] -= c * b[j]
+    if not quo or any(rem[:db]):
+        raise DivisibilityError("Bareiss division is not exact in Z[x]")
+    return quo
+
+
+def det_fraction_free(m: Matrix) -> Poly:
+    """Determinant by one-step fraction-free (Bareiss) elimination over Z[x].
+
+    Each row is multiplied by the lcm of the denominators of its
+    coefficients, so every entry becomes an integer polynomial.  Elimination
+    then runs on integer coefficient lists, where each division is exact,
+    as the algorithm guarantees over an integral domain; an inexact one
+    raises DivisibilityError.  The determinant of the scaled matrix is
+    divided by the product of the row scales once, at the end.  The
+    determinant of the empty (0x0) matrix is 1.
     """
     if m.nrows != m.ncols:
         raise InvalidInput("determinant requires a square matrix")
     n = m.nrows
     if n == 0:
         return Poly.one()
-    grid = [list(row) for row in m.entries]
-    sign = 1
-    prev = Poly.one()
+    grid = []
+    scale = 1
+    for row in m.entries:
+        s = lcm(*(c.denominator for e in row for c in e.coeffs))
+        scale *= s
+        grid.append([_scaled_numerators(e.coeffs, s) for e in row])
+    prev = [1]
     for k in range(n - 1):
-        if grid[k][k].is_zero():
+        if not grid[k][k]:
             for i in range(k + 1, n):
-                if not grid[i][k].is_zero():
+                if grid[i][k]:
                     grid[k], grid[i] = grid[i], grid[k]
-                    sign = -sign
+                    scale = -scale
                     break
             else:
                 return Poly()
-        pivot = grid[k][k]
+        pivot, top = grid[k][k], grid[k]
         for i in range(k + 1, n):
+            row = grid[i]
             for j in range(k + 1, n):
-                elt = pivot * grid[i][j] - grid[i][k] * grid[k][j]
-                grid[i][j] = elt.exact_div(prev)
-            grid[i][k] = Poly()
+                row[j] = _zx_exact_div(_zx_cross(pivot, row[j], row[k], top[j]), prev)
+            row[k] = []
         prev = pivot
-    result = grid[n - 1][n - 1]
-    return result if sign > 0 else -result
+    return Poly([Fraction(c, scale) for c in grid[n - 1][n - 1]])
 
 
 def sylvester(a: BiPoly, b: BiPoly) -> Matrix:

@@ -21,6 +21,7 @@ product denominators computed by resultants in `convolve`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import List, Sequence
 
 from .errors import InternalInvariantViolation, InvalidInput
@@ -62,16 +63,6 @@ class PowerSums:
 
     def __repr__(self) -> str:
         return f"PowerSums({[str(v) for v in self.values]})"
-
-
-def _binomial_rows(n: int) -> List[List[int]]:
-    """Pascal's triangle up to row n inclusive (exact integers)."""
-    rows = [[1]]
-    for k in range(1, n + 1):
-        prev = rows[-1]
-        row = [1] + [prev[i - 1] + prev[i] for i in range(1, k)] + [1]
-        rows.append(row)
-    return rows
 
 
 def elementary_to_power(e: Sequence, upto: int) -> PowerSums:
@@ -133,12 +124,11 @@ def powersum_binomial(pa: PowerSums, pb: PowerSums, upto: int) -> PowerSums:
     """Power sums of {alpha_i + beta_j}: binomial convolution of the inputs."""
     if pa.upto < upto or pb.upto < upto:
         raise InvalidInput("insufficient power sums for the requested order")
-    binom = _binomial_rows(upto)
     out = []
     for k in range(upto + 1):
         acc = Fraction(0)
         for l in range(k + 1):
-            acc += binom[k][l] * pa[l] * pb[k - l]
+            acc += comb(k, l) * pa[l] * pb[k - l]
         out.append(acc)
     return PowerSums(out)
 

@@ -1,8 +1,10 @@
 """Expression language and command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -287,11 +289,16 @@ class TestMainCommand:
 
 
 def test_module_entry_point():
+    # the child must import the same binprod as this process, also when
+    # pytest put src/ on sys.path itself rather than through PYTHONPATH
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "binprod", "eval", "fib"],
         capture_output=True,
         text=True,
         timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(x) / (1 - x - x^2)"

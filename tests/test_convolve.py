@@ -106,6 +106,35 @@ class TestDenominators:
         with pytest.raises(InvalidInput):
             binomial_denominator(Poly([2, 1]), Poly([1, 1]))
 
+    def test_match_sympy_resultants_on_rational_operands(self):
+        # An oracle that shares no code with binprod: for U = prod(1 - alpha_i x)
+        # the reversal t^m U(1/t) is prod(t - alpha_i), so sympy's resultants
+        #   Res_y(rev U(y), rev V(x - y))   = prod(x - (alpha_i + beta_j))
+        #   Res_y(rev U(y), y^n rev V(x/y)) = prod(x - alpha_i beta_j)
+        # reverse back to the product denominators.
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        rng = random.Random(67)
+
+        def rand_den():
+            cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            cs.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
+            return Poly([1] + cs)
+
+        def rev(p, t):
+            m = p.degree
+            return sum(sympy.Rational(c.numerator, c.denominator) * t ** (m - i) for i, c in enumerate(p.coeffs))
+
+        def unrev(w):
+            coeffs = sympy.Poly(sympy.expand(w), x).all_coeffs()
+            return Poly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+        for _ in range(6):
+            u, v = rand_den(), rand_den()
+            hom_v = sympy.expand(y ** v.degree * rev(v, x / y))
+            assert binomial_denominator(u, v) == unrev(sympy.resultant(rev(u, y), rev(v, x - y), y))
+            assert hadamard_denominator(u, v) == unrev(sympy.resultant(rev(u, y), hom_v, y))
+
 
 class TestWorkedBinomialProducts:
     def test_distinct_linear_factors(self):

@@ -32,6 +32,23 @@ def rand_poly(rng, deg, lo=-5, hi=5):
     return Poly(coeffs)
 
 
+def rand_rational_poly(rng, deg, lo=-5, hi=5):
+    # denominators 1-4, leading coefficient nonzero
+    coeffs = [Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for _ in range(deg)]
+    lead = rng.choice([c for c in range(lo, hi + 1) if c])
+    coeffs.append(Fraction(lead, rng.randint(1, 4)))
+    return Poly(coeffs)
+
+
+def euclid_gcd(a: Poly, b: Poly) -> Poly:
+    # Euclid over Q with monic remainders and no modular shortcut: the oracle
+    while not b.is_zero():
+        a, b = b, (a % b)
+        if not b.is_zero():
+            b = b.monic()
+    return a.monic()
+
+
 def det_cofactor(m: Matrix) -> Poly:
     # textbook expansion along the first row; the independent oracle
     n = m.nrows
@@ -112,6 +129,43 @@ class TestPolyBasics:
             l = poly_lcm(a, b)
             assert (g * l).monic() == (a * b).monic()
 
+    def test_gcd_certificate_agrees_with_euclid_on_random_pairs(self):
+        rng = random.Random(13)
+        for _ in range(40):
+            a = rand_rational_poly(rng, rng.randint(0, 6))
+            b = rand_rational_poly(rng, rng.randint(0, 6))
+            assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+    def test_gcd_with_unlucky_prime(self):
+        # both images mod 2^61 - 1 are x - 1, but the roots 1 and 2^61 differ
+        p = (1 << 61) - 1
+        a = Poly([-1, 1])
+        b = Poly([-1 - p, 1])
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == Poly.one()
+
+    def test_gcd_when_prime_divides_a_leading_coefficient(self):
+        # the common factor p*x + 1 vanishes mod p, leaving coprime images
+        # x + 2 and x + 3; only the leading-coefficient test keeps the
+        # certificate from answering 1
+        p = (1 << 61) - 1
+        g = Poly([1, p])
+        a = g * Poly([2, 1])
+        b = g * Poly([Fraction(3, 2), Fraction(1, 2)])
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == Poly([Fraction(1, p), 1])
+        # coprime, but with a leading coefficient the prime divides
+        c = Poly([Fraction(1, 3), 0, Fraction(2 * p, 3)])
+        assert poly_gcd(c, Poly([1, 1])) == euclid_gcd(c, Poly([1, 1])) == Poly.one()
+
+    def test_gcd_recovers_planted_rational_factor(self):
+        rng = random.Random(17)
+        for _ in range(25):
+            g = rand_rational_poly(rng, rng.randint(1, 3))
+            a = g * rand_rational_poly(rng, rng.randint(0, 4))
+            b = g * rand_rational_poly(rng, rng.randint(0, 4))
+            got = poly_gcd(a, b)
+            assert got == euclid_gcd(a, b)
+            assert (got % g.monic()).is_zero()
+
     def test_format(self):
         assert format_poly(Poly([1, -6, 7])) == "1 - 6*x + 7*x^2"
         assert format_poly(Poly([0, 0, 2, -3])) == "2*x^2 - 3*x^3"
@@ -134,6 +188,41 @@ class TestDeterminant:
                 [[rand_poly(rng, rng.randint(0, 2), -3, 3) for _ in range(3)] for _ in range(3)]
             )
             assert det_fraction_free(m) == det_cofactor(m)
+
+    def test_matches_cofactor_expansion_on_rational_entries(self):
+        # denominators 1-4, so rows are scaled by different lcms
+        rng = random.Random(31)
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            m = Matrix(
+                [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+            )
+            assert det_fraction_free(m) == det_cofactor(m)
+        for _ in range(8):
+            m = Matrix(
+                [[rand_rational_poly(rng, rng.randint(0, 2), -3, 3) for _ in range(3)] for _ in range(3)]
+            )
+            assert det_fraction_free(m) == det_cofactor(m)
+
+    def test_rational_zero_pivot_forces_row_swap(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        m = Matrix(
+            [
+                [0, Poly([half, 1]), Fraction(3, 4)],
+                [third, Poly([0, -half]), 2],
+                [Poly([1, Fraction(-1, 4)]), 1, Poly([third])],
+            ]
+        )
+        assert det_fraction_free(m) == det_cofactor(m)
+        assert not det_fraction_free(m).is_zero()
+
+    def test_rational_singular_matrix_gives_zero(self):
+        r0 = [Poly([Fraction(1, 2), 1]), Poly([Fraction(-2, 3)]), Poly([0, Fraction(3, 4)])]
+        r1 = [Poly([1]), Poly([0, Fraction(1, 3)]), Poly([Fraction(5, 2)])]
+        r2 = [Fraction(2, 3) * p + q * Poly([0, 1]) for p, q in zip(r0, r1)]
+        m = Matrix([r0, r1, r2])
+        assert det_cofactor(m) == Poly()
+        assert det_fraction_free(m) == Poly()
 
     def test_repeated_row_gives_zero(self):
         row = [Poly([1, 1]), Poly([2]), Poly([0, 0, 1])]
