@@ -616,6 +616,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    # Exact output may need integers beyond CPython's default limit of 4300
+    # digits in int <-> str conversions; lift it for this command only.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except ParseError as exc:
@@ -624,6 +628,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BinprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -30,20 +30,14 @@ from .errors import (
 from .polycore import Poly, lift_to_y, poly_gcd, solve_unique, sub_one_minus_y, sub_x_over_y
 from .ratfun import RatFun
 
-# Reduce num/den by their gcd only past this combined degree.  Euclidean
-# remainder sequences square coefficient degrees at every step, so always
-# reducing wastes most of the time in gcds of tiny polynomials while never
-# reducing blows up; one threshold covers both regimes.
-_REDUCE_AT = 24
-
-
 class PolyFraction:
     """A quotient of rational-coefficient polynomials, used as a field element.
 
     Unlike `RatFun` there is no power-series constraint: the denominator may
-    vanish at 0.  Instances are not kept in lowest terms; `reduced()` gives
-    a canonical numerator/denominator pair and equality cross-multiplies, so
-    the lazy form never leaks.
+    vanish at 0.  Every instance is in lowest terms, because Euclid over
+    Q(x)[t] otherwise squares coefficient degrees at each step.  The
+    denominator is not normalized: `reduced()` gives the canonical pair, and
+    equality cross-multiplies.
     """
 
     __slots__ = ("num", "den")
@@ -61,7 +55,7 @@ class PolyFraction:
         elif den.degree == 0:
             num = num / den.constant_term
             den = Poly.one()
-        elif num.degree + den.degree > _REDUCE_AT:
+        else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num.exact_div(g)
@@ -84,16 +78,9 @@ class PolyFraction:
         return not self.num.is_zero()
 
     def reduced(self) -> "PolyFraction":
-        """Lowest terms with denominator normalized by its leading coefficient."""
-        if self.is_zero():
-            return PolyFraction.zero()
-        num, den = self.num, self.den
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        lead = den.leading
-        return PolyFraction(num / lead, den / lead)
+        """Lowest terms with the denominator made monic."""
+        lead = self.den.leading
+        return PolyFraction(self.num / lead, self.den / lead)
 
     def __eq__(self, other) -> bool:
         other = _pf(other)

@@ -14,11 +14,15 @@ prod(1 - (alpha_i + beta_j) x) into a single resultant computation.
 
 The two hot kernels leave `Fraction` for plain integers.  Determinants clear
 denominators row by row and eliminate in Z[x] (Bareiss, Math. Comp. 22,
-1968), dividing by the row scales once at the end.  `poly_gcd` first looks
-at the images of its arguments in GF(p)[x] for the prime p = 2^61 - 1: when
-p divides neither leading coefficient and the images are coprime, so are the
-arguments, and the answer 1 needs no arithmetic over Q (Brown, J. ACM 18,
-1971).  Otherwise it runs Euclid's algorithm with monic remainders over Q.
+1968), dividing by the row scales once at the end.  `poly_gcd` is a modular
+gcd (Brown, J. ACM 18, 1971): it clears both arguments to primitive integer
+polynomials and lifts their gcd by the Chinese remainder theorem from the
+monic gcds of their images in GF(p)[x], for primes p from 2^61 - 1
+downward.  A constant image proves the arguments coprime at once.  Every
+lifted candidate is trial divided into both arguments before it is
+returned; since no image gcd at a prime that divides neither leading
+coefficient has lower degree than the true gcd, a candidate that divides
+both is the gcd, so the answer is exact, not probabilistic.
 
 Every value is immutable after construction and every function is pure, so
 values can be shared freely between threads.
@@ -27,6 +31,8 @@ values can be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import count
 from math import gcd as int_gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -338,30 +344,66 @@ def format_poly(p: Poly, var: str = "x") -> str:
 
 _GCD_PRIME = (1 << 61) - 1
 
+# Miller-Rabin with the first 13 prime bases is exact below 3.3 * 10^24
+# (Sorenson and Webster, Math. Comp. 86, 2017), far above 2^61.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality test for n < 3.3 * 10^24."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _gcd_prime(i: int) -> int:
+    """The i-th prime from the Mersenne prime 2^61 - 1 downward.
+
+    Cached because a Miller-Rabin proof costs far more than an image gcd of
+    a small pair; the cache grows only to the number of primes that the
+    largest gcd lifted so far needed.
+    """
+    if i == 0:
+        return _GCD_PRIME
+    p = _gcd_prime(i - 1) - 2
+    while not _is_prime(p):
+        p -= 2
+    return p
+
 
 def _scaled_numerators(coeffs: Sequence[Fraction], scale: int) -> list:
     """The integers scale * c, for a scale that every denominator divides."""
     return [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
-def _coprime_mod_p(a: Poly, b: Poly) -> bool:
-    """True only if a and b are certainly coprime over Q.
+def _primitive_ints(f: Poly) -> list:
+    """f cleared of denominators and content: a primitive Z[x] coefficient list."""
+    ints = _scaled_numerators(f.coeffs, lcm(*(c.denominator for c in f.coeffs)))
+    g = int_gcd(*ints)
+    return [c // g for c in ints]
 
-    Both are cleared to integer polynomials and their gcd is taken in
-    GF(p)[x].  A common factor over Q can be taken primitive in Z[x]; its
-    leading coefficient divides those of the cleared arguments, so when p
-    divides neither, the factor keeps its degree mod p and divides both
-    images.  A constant image gcd therefore proves gcd(a, b) = 1.  False
-    means only that this prime gives no proof.
+
+def _gfp_gcd(u: list, v: list, p: int) -> list:
+    """Monic gcd in GF(p)[x] of nonzero coefficient lists reduced mod p.
+
+    Euclid's algorithm; u is overwritten.
     """
-    p = _GCD_PRIME
-    images = []
-    for f in (a, b):
-        ints = _scaled_numerators(f.coeffs, lcm(*(c.denominator for c in f.coeffs)))
-        if ints[-1] % p == 0:
-            return False
-        images.append([c % p for c in ints])
-    u, v = images
     while len(v) > 1:
         inv = pow(v[-1], -1, p)
         dv = len(v) - 1
@@ -374,30 +416,82 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
         while u and not u[-1]:
             u.pop()
         if not u:
-            return False
+            inv = pow(v[-1], -1, p)
+            return [c * inv % p for c in v]
         u, v = v, u
-    return True
+    return [1]
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, b) is monic(b).
 
-    Raises InvalidInput when both arguments are zero.  Nonzero arguments
-    first go through `_coprime_mod_p`, which returns 1 when the images in
-    GF(p)[x], p = 2^61 - 1, are coprime and p divides neither cleared
-    leading coefficient; that answer is exact, not probabilistic.  Every
-    other pair, including those that share a factor, runs Euclid's algorithm
-    over Q with each remainder made monic.
+    Raises InvalidInput when both arguments are zero.  Otherwise both are
+    cleared to primitive integer polynomials A and B, gamma = gcd(lc A, lc B),
+    and the gcd is lifted from its images in GF(p)[x], for the primes p from
+    2^61 - 1 downward that divide neither leading coefficient (Brown, J. ACM
+    18, 1971; von zur Gathen and Gerhard, Modern Computer Algebra, 6.7):
+
+    * a constant image proves gcd(A, B) = 1 at once, so a coprime pair costs
+      one image gcd;
+    * an image of higher degree than the least seen so far is discarded, and
+      one of lower degree restarts the lift;
+    * otherwise gamma times the monic image joins the lift by the Chinese
+      remainder theorem, with coefficients in the symmetric range.
+
+    When a prime leaves the lift unchanged, the primitive part G of the lift
+    is trial divided into A and B in Z[x].  The answer is exact, not
+    probabilistic: at a prime that divides neither leading coefficient the
+    image gcd has degree at least deg gcd(A, B), so a G of that degree
+    dividing both is the gcd.  When G fails the test, more primes follow;
+    the lift reaches gamma/lc(g) * g for the true gcd g once the product of
+    its primes exceeds twice that polynomial's largest coefficient.
+
+    >>> poly_gcd(Poly([-1, 0, 1]), Poly([1, 2, 1]))
+    Poly('1 + x')
+    >>> poly_gcd(Poly([2, 3]), Poly([Fraction(1, 2), 1]))
+    Poly('1')
     """
     if a.is_zero() and b.is_zero():
         raise InvalidInput("gcd(0, 0) is undefined")
-    if not a.is_zero() and not b.is_zero() and _coprime_mod_p(a, b):
-        return Poly.one()
-    while not b.is_zero():
-        a, b = b, (a % b)
-        if not b.is_zero():
-            b = b.monic()
-    return a.monic()
+    if a.is_zero() or b.is_zero():
+        return (a or b).monic()
+    int_a, int_b = _primitive_ints(a), _primitive_ints(b)
+    lead_a, lead_b = int_a[-1], int_b[-1]
+    gamma = int_gcd(lead_a, lead_b)
+    # longer than any image, so the first usable prime starts the lift
+    length = min(len(int_a), len(int_b)) + 1
+    lift, modulus = [], 1
+    for i in count():
+        p = _gcd_prime(i)
+        if lead_a % p == 0 or lead_b % p == 0:
+            continue
+        image = _gfp_gcd([c % p for c in int_a], [c % p for c in int_b], p)
+        if len(image) == 1:
+            return Poly.one()
+        if len(image) > length:
+            continue
+        image = [gamma * c % p for c in image]
+        if len(image) < length:
+            length = len(image)
+            lift, modulus = [c - p if 2 * c > p else c for c in image], p
+            continue
+        inv = pow(modulus, -1, p)
+        new_modulus = modulus * p
+        new_lift = []
+        for h, c in zip(lift, image):
+            h += modulus * ((c - h) * inv % p)
+            new_lift.append(h - new_modulus if 2 * h > new_modulus else h)
+        modulus = new_modulus
+        if new_lift == lift:
+            content = int_gcd(*lift)
+            g = [c // content for c in lift]
+            try:
+                _zx_exact_div(int_a, g)
+                _zx_exact_div(int_b, g)
+            except DivisibilityError:
+                continue
+            return Poly(g).monic()
+        lift = new_lift
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -586,13 +680,13 @@ def _zx_exact_div(a: list, b: list) -> list:
     for k in range(len(quo) - 1, -1, -1):
         c, r = divmod(rem[k + db], lead)
         if r:
-            raise DivisibilityError("Bareiss division is not exact in Z[x]")
+            raise DivisibilityError("division is not exact in Z[x]")
         if c:
             quo[k] = c
             for j in range(db):
                 rem[k + j] -= c * b[j]
     if not quo or any(rem[:db]):
-        raise DivisibilityError("Bareiss division is not exact in Z[x]")
+        raise DivisibilityError("division is not exact in Z[x]")
     return quo
 
 

@@ -198,6 +198,22 @@ class TestMainCommand:
         assert main(["coeffs", "fib", "-n", "-1"]) == 1
         capsys.readouterr()
 
+    def test_coeffs_prints_integers_over_4300_digits(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["coeffs", "1/(1-1000x)", "-n", "1500"]) == 0
+        out = capsys.readouterr().out.split()
+        assert len(out) == 1500
+        assert out[-1] == "1" + "000" * 1499
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_eval_of_a_5000_digit_literal(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        literal = "9" + "0123456789" * 499 + "876543210"
+        assert len(literal) == 5000
+        assert main(["eval", literal]) == 0
+        assert capsys.readouterr().out.strip() == literal
+        assert sys.get_int_max_str_digits() == limit
+
     def test_bprod_every_method(self, capsys):
         want = "(2*x^2 - 3*x^3) / (1 - 6*x + 7*x^2 + 6*x^3 - 9*x^4)"
         for method in ("resultant", "symfun", "pfrac", "reconstruct"):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import binprod.polycore as polycore
 from binprod import (
     BiPoly,
     DivisibilityError,
@@ -165,6 +166,78 @@ class TestPolyBasics:
             got = poly_gcd(a, b)
             assert got == euclid_gcd(a, b)
             assert (got % g.monic()).is_zero()
+
+    def test_modular_gcd_recovers_planted_factors(self):
+        # integer and rational planted factors, some of them repeated
+        rng = random.Random(19)
+        for trial in range(40):
+            make = rand_poly if trial % 2 else rand_rational_poly
+            f = make(rng, rng.randint(1, 2))
+            g = f ** rng.randint(1, 3) * make(rng, rng.randint(0, 2))
+            a = g * f * make(rng, rng.randint(0, 3))
+            b = g * make(rng, rng.randint(0, 3))
+            got = poly_gcd(a, b)
+            assert got == euclid_gcd(a, b)
+            assert (got % g.monic()).is_zero()
+
+    def test_modular_gcd_with_huge_coefficients(self):
+        # the lift needs several 61-bit primes before it settles
+        rng = random.Random(23)
+        for _ in range(4):
+            g = Poly([rng.getrandbits(230) - (1 << 229) for _ in range(3)] + [(1 << 201) + 7])
+            a = g * rand_poly(rng, 3)
+            b = g * rand_rational_poly(rng, 2)
+            assert poly_gcd(a, b) == euclid_gcd(a, b) == g.monic()
+
+    def test_modular_gcd_restarts_on_lower_degree(self):
+        # mod p both are (x + 1)(x - 1): the first image has degree 2
+        p = (1 << 61) - 1
+        a = Poly([1, 1]) * Poly([-1, 1])
+        b = Poly([1, 1]) * Poly([-1 - p, 1])
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == Poly([1, 1])
+
+    def test_modular_gcd_discards_a_later_unlucky_image(self):
+        # the second prime sees a degree-2 image after a degree-1 one
+        p2 = (1 << 61) - 31
+        a = Poly([1, 1]) * Poly([-1, 1])
+        b = Poly([1, 1]) * Poly([-1 - p2, 1])
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == Poly([1, 1])
+
+    def test_modular_gcd_trial_division_rejects_a_false_stable_lift(self, monkeypatch):
+        # 2^61 - 1 and 2^61 - 31 are the two largest primes below 2^61; the
+        # lift reads 5 after both, and only trial division rejects x + 5
+        p1, p2 = (1 << 61) - 1, (1 << 61) - 31
+        g = Poly([5 + p1 * p2, 1])
+        a = g * Poly([2, 1])
+        b = g * Poly([Fraction(3, 7), 1])
+        rejected = []
+        divide = polycore._zx_exact_div
+
+        def spy(u, v):
+            try:
+                return divide(u, v)
+            except DivisibilityError:
+                rejected.append(v)
+                raise
+
+        monkeypatch.setattr(polycore, "_zx_exact_div", spy)
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == g
+        assert rejected == [[5, 1]]
+
+    def test_gcd_with_zero_and_constant_arguments(self):
+        f = Poly([Fraction(2, 3), -4, 6])
+        assert poly_gcd(f, Poly()) == poly_gcd(Poly(), f) == f.monic()
+        assert poly_gcd(Poly([Fraction(-5, 2)]), Poly()) == Poly.one()
+        assert poly_gcd(f, Poly([7])) == poly_gcd(Poly([7]), f) == Poly.one()
+        assert poly_gcd(Poly([3]), Poly([Fraction(1, 2)])) == Poly.one()
+        with pytest.raises(InvalidInput):
+            poly_gcd(Poly(), Poly())
+
+    def test_gcd_primes_descend_from_2_61_minus_1(self):
+        sympy = pytest.importorskip("sympy")
+        primes = [polycore._gcd_prime(i) for i in range(6)]
+        assert primes[0] == (1 << 61) - 1
+        assert all(sympy.prevprime(p) == q for p, q in zip(primes, primes[1:]))
 
     def test_format(self):
         assert format_poly(Poly([1, -6, 7])) == "1 - 6*x + 7*x^2"
