@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,6 +44,10 @@ _END = "end"
 _UNICODE_OPS = {"⊙": "obprod", "∗": "hprod"}
 _PRODUCT_WORDS = ("obprod", "hprod")
 _OP_CHARS = "+-*/^(),"
+
+# deepest nesting of parentheses and unary minus signs that parses; the
+# parser recurses once per level
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,17 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
+
+    def open_level(self, tok: Token) -> None:
+        """Enter the nesting level that ``tok`` opens; at most MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+
+    def close_level(self) -> None:
+        self.expect_op(")")
+        self.depth -= 1
 
     def peek(self) -> Token:
         return self.tokens[self.index]
@@ -235,8 +251,10 @@ class _Parser:
 
     def parse_unary(self) -> Expr:
         if self.at_op("-"):
-            self.advance()
-            return Neg(self.parse_unary())
+            self.open_level(self.advance())
+            node = Neg(self.parse_unary())
+            self.depth -= 1
+            return node
         return self.parse_power()
 
     def parse_power(self) -> Expr:
@@ -266,21 +284,20 @@ class _Parser:
             if tok.text == "x":
                 return Var()
             if self.at_op("("):
-                self.advance()
-                args: Tuple[Expr, ...] = ()
+                self.open_level(self.advance())
+                args = []
                 if not self.at_op(")"):
-                    items = [self.parse_expr()]
+                    args.append(self.parse_expr())
                     while self.at_op(","):
                         self.advance()
-                        items.append(self.parse_expr())
-                    args = tuple(items)
-                self.expect_op(")")
-                return Seq(tok.text, args)
+                        args.append(self.parse_expr())
+                self.close_level()
+                return Seq(tok.text, tuple(args))
             return Seq(tok.text)
         if tok.kind == _OP and tok.text == "(":
-            self.advance()
+            self.open_level(self.advance())
             node = self.parse_expr()
-            self.expect_op(")")
+            self.close_level()
             return node
         raise ParseError(
             f"unexpected {self._describe(tok)}", tok.pos, expected=("number", "name", "'('")
@@ -288,7 +305,10 @@ class _Parser:
 
 
 def parse_expression(text: str) -> Expr:
-    """Parse the expression language; raises ParseError with a position."""
+    """Parse the expression language; raises ParseError with a position.
+
+    Parentheses and unary minus signs may nest at most MAX_NESTING deep.
+    """
     return _Parser(text).parse()
 
 
@@ -358,8 +378,24 @@ def _constant_param(value: RatFun, name: str) -> Fraction:
     return value.num.constant_term
 
 
-def evaluate(e: Expr) -> RatFun:
-    """Evaluate an AST to an exact rational power series."""
+def _operands(e: Expr) -> Tuple[Expr, ...]:
+    # a sequence evaluates its own arguments, which nest at most MAX_NESTING
+    if isinstance(e, (Num, Var, Seq)):
+        return ()
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Add, Sub, Mul, Div, BProd, HProd)):
+        return (e.left, e.right)
+    raise InvalidInput(f"not an expression node: {e!r}")
+
+
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
+
+
+def _apply(e: Expr, values: List[RatFun]) -> RatFun:
+    """The value of node e, given the values of its operands in order."""
     if isinstance(e, Num):
         return RatFun.constant(e.value)
     if isinstance(e, Var):
@@ -368,22 +404,36 @@ def evaluate(e: Expr) -> RatFun:
         params = [_constant_param(evaluate(a), e.name) for a in e.args]
         return named_gf(e.name, params).gf
     if isinstance(e, Neg):
-        return -evaluate(e.operand)
-    if isinstance(e, Add):
-        return evaluate(e.left) + evaluate(e.right)
-    if isinstance(e, Sub):
-        return evaluate(e.left) - evaluate(e.right)
-    if isinstance(e, Mul):
-        return evaluate(e.left) * evaluate(e.right)
-    if isinstance(e, Div):
-        return evaluate(e.left) / evaluate(e.right)
+        return -values[0]
     if isinstance(e, Pow):
-        return evaluate(e.base) ** e.exponent
+        return values[0] ** e.exponent
     if isinstance(e, BProd):
-        return binomial_product(evaluate(e.left), evaluate(e.right))
+        return binomial_product(*values)
     if isinstance(e, HProd):
-        return hadamard_product(evaluate(e.left), evaluate(e.right))
-    raise InvalidInput(f"not an expression node: {e!r}")
+        return hadamard_product(*values)
+    return _ARITHMETIC[type(e)](*values)
+
+
+def evaluate(e: Expr) -> RatFun:
+    """Evaluate an AST to an exact rational power series.
+
+    Operands are evaluated left to right, with an explicit stack: a flat sum
+    of n terms parses to a tree n deep.
+    """
+    values: List[RatFun] = []
+    todo = [(e, False)]
+    while todo:
+        node, ready = todo.pop()
+        operands = _operands(node)
+        if operands and not ready:
+            todo.append((node, True))
+            todo.extend((o, False) for o in reversed(operands))
+            continue
+        split = len(values) - len(operands)
+        result = _apply(node, values[split:])
+        del values[split:]
+        values.append(result)
+    return values[0]
 
 
 def evaluate_text(text: str) -> RatFun:

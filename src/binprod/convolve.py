@@ -46,7 +46,7 @@ from .polycore import (
     sub_x_over_y,
     _fr,
 )
-from .ratfun import RatFun, Series
+from .ratfun import RatFun, Series, _recover_numerator
 
 METHODS = ("resultant", "symfun", "pfrac", "reconstruct")
 
@@ -172,12 +172,18 @@ def plan_binomial(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPla
     """
     if a.is_zero() or b.is_zero():
         raise InvalidInput("plans are for nonzero operands")
+    u, v, _, num_deg = _binomial_bounds(a, b)
+    cross = _cross_denominator(method, "binomial")
+    den = a.den**v * b.den**u * cross(a.den, b.den)
+    return ProductPlan(method, den, num_deg)
+
+
+def _binomial_bounds(a: RatFun, b: RatFun) -> Tuple[int, int, int, int]:
+    """u, v and the denominator and numerator degree bounds of `plan_binomial`."""
     m, n = a.den.degree, b.den.degree
     u = max(a.num.degree + 1 - m, 0)
     v = max(b.num.degree + 1 - n, 0)
-    cross = _cross_denominator(method, "binomial")
-    den = a.den**v * b.den**u * cross(a.den, b.den)
-    return ProductPlan(method, den, (u + m) * (v + n) - 1)
+    return u, v, m * v + n * u + m * n, (u + m) * (v + n) - 1
 
 
 def plan_hadamard(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPlan:
@@ -202,16 +208,12 @@ def _recover_from_plan(a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> Ra
     order = plan.den_bound.degree + plan.num_deg_bound + 3
     combine = series_binomial if kind == "binomial" else series_hadamard
     s = combine(a.expand(order), b.expand(order)).coeffs
-    den = plan.den_bound
-    prod = [
-        sum((den[j] * s[n - j] for j in range(min(n, den.degree) + 1)), Fraction(0))
-        for n in range(order)
-    ]
-    if any(prod[plan.num_deg_bound + 1 :]):
-        raise InternalInvariantViolation(
-            f"{kind} numerator tail does not vanish; denominator bound is wrong"
-        )
-    return RatFun(Poly(prod[: plan.num_deg_bound + 1]), den)
+    return _recover_numerator(
+        plan.den_bound,
+        s,
+        plan.num_deg_bound,
+        f"{kind} numerator tail does not vanish; denominator bound is wrong",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +223,7 @@ def _recover_from_plan(a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> Ra
 def _binomial_reconstruct(a: RatFun, b: RatFun) -> RatFun:
     from .ratfun import reconstruct_rational
 
-    m, n = a.den.degree, b.den.degree
-    u = max(a.num.degree + 1 - m, 0)
-    v = max(b.num.degree + 1 - n, 0)
-    den_deg = m * v + n * u + m * n
-    num_deg = (u + m) * (v + n) - 1
+    _, _, den_deg, num_deg = _binomial_bounds(a, b)
     order = den_deg + num_deg + 3
     s = series_binomial(a.expand(order), b.expand(order))
     return reconstruct_rational(s, den_deg, num_deg)

@@ -9,10 +9,13 @@ and one whose roots all carry a factor of x.  The two-term partial-fraction
 split separates the nonnegative and negative powers of t, so the constant
 term is the first piece evaluated at t = 0.
 
-The split is computed with the extended Euclidean algorithm on polynomials
-in t over the rational-function field (`PolyFraction` coefficients), or
-alternatively by solving the Sylvester-structured linear system
-(`solve_bezout_system`).  Everything is exact.
+The split is computed with the extended Euclidean algorithm on `TPoly`,
+polynomials in t over the rational-function field Q(x).  `TPoly` is the
+dense-polynomial kernel of `polycore` over the `PolyFraction` coefficient
+field; its factors are built from the y-substitutions of `polycore`, read
+with t for y.  `solve_bezout_system` solves the same split as a
+Sylvester-structured linear system, as an independent reference.
+Everything is exact.  No resultant or determinant is computed here.
 """
 
 from __future__ import annotations
@@ -20,15 +23,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Tuple
 
-from .convolve import binomial_from_proper_core, hadamard_from_proper_core
+from .convolve import binomial_from_proper_core
 from .errors import (
     CoprimalityViolation,
     DivisionByZero,
     InternalInvariantViolation,
     InvalidInput,
 )
-from .polycore import Poly, lift_to_y, poly_gcd, solve_unique, sub_one_minus_y, sub_x_over_y
+from .polycore import (
+    Poly,
+    _DensePoly,
+    poly_gcd,
+    solve_unique,
+    sub_one_minus_y,
+    sub_x_over_y,
+)
 from .ratfun import RatFun
+
 
 class PolyFraction:
     """A quotient of rational-coefficient polynomials, used as a field element.
@@ -63,14 +74,6 @@ class PolyFraction:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def zero() -> "PolyFraction":
-        return PolyFraction(Poly.zero())
-
-    @staticmethod
-    def one() -> "PolyFraction":
-        return PolyFraction(Poly.one())
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
@@ -87,10 +90,6 @@ class PolyFraction:
         if other is NotImplemented:
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        r = self.reduced()
-        return hash((r.num, r.den))
 
     def __add__(self, other):
         other = _pf(other)
@@ -145,132 +144,25 @@ def _pf(value):
     if isinstance(value, PolyFraction):
         return value
     if isinstance(value, (Poly, int, Fraction)):
-        return PolyFraction(value if isinstance(value, Poly) else Poly.constant(value))
+        return PolyFraction(value)
     return NotImplemented
 
 
-class TPoly:
-    """A polynomial in the auxiliary variable t with PolyFraction coefficients."""
+class TPoly(_DensePoly):
+    """A polynomial in the auxiliary variable t with PolyFraction coefficients.
 
-    __slots__ = ("coeffs",)
+    Coefficients may be given as PolyFraction, Poly or scalar values.
+    """
 
-    def __init__(self, coeffs=()):
-        vals = []
-        for c in coeffs:
-            p = _pf(c)
-            if p is NotImplemented:
-                raise InvalidInput(f"cannot use {c!r} as a coefficient")
-            vals.append(p)
-        while vals and not vals[-1]:
-            vals.pop()
-        self.coeffs = tuple(vals)
+    __slots__ = ()
+    _zero = PolyFraction(Poly())
 
     @staticmethod
-    def zero() -> "TPoly":
-        return TPoly()
-
-    @staticmethod
-    def one() -> "TPoly":
-        return TPoly([PolyFraction.one()])
-
-    @staticmethod
-    def from_bipoly(bp) -> "TPoly":
-        """Adopt a BiPoly's y-coefficients as coefficients of powers of t."""
-        return TPoly([PolyFraction(p) for p in bp.ycoeffs])
-
-    @property
-    def degree(self) -> int:
-        """Degree in t, with the zero polynomial mapped to -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __getitem__(self, k: int) -> PolyFraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return PolyFraction.zero()
-
-    def constant_coeff(self) -> PolyFraction:
-        """The value at t = 0."""
-        return self[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    def __hash__(self):
-        return hash(tuple(c.reduced().num for c in self.coeffs))
-
-    def __add__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TPoly([self[k] + other[k] for k in range(n)])
-
-    def __neg__(self):
-        return TPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, TPoly):
-            if self.is_zero() or other.is_zero():
-                return TPoly.zero()
-            out = [PolyFraction.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return TPoly(out)
-        scalar = _pf(other)
-        if scalar is NotImplemented:
-            return NotImplemented
-        return TPoly([c * scalar for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other) -> Tuple["TPoly", "TPoly"]:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("polynomial division by zero")
-        lead = other.coeffs[-1]
-        d = other.degree
-        quot = [PolyFraction.zero()] * max(self.degree - d + 1, 0)
-        rem = list(self.coeffs)
-        while len(rem) - 1 >= d:
-            factor = rem[-1] / lead
-            shift = len(rem) - 1 - d
-            quot[shift] = factor
-            for i in range(d):
-                rem[shift + i] = rem[shift + i] - factor * other.coeffs[i]
-            rem.pop()
-            while rem and not rem[-1]:
-                rem.pop()
-        return TPoly(quot), TPoly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def monic(self) -> "TPoly":
-        if self.is_zero():
-            raise InvalidInput("the zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        return TPoly([c / lead for c in self.coeffs])
+    def _coeff(value) -> PolyFraction:
+        p = _pf(value)
+        if p is NotImplemented:
+            raise InvalidInput(f"cannot use {value!r} as a coefficient")
+        return p
 
     def __repr__(self):
         return f"TPoly({list(self.coeffs)!r})"
@@ -283,14 +175,14 @@ def tpoly_xgcd(a: TPoly, b: TPoly) -> Tuple[TPoly, TPoly, TPoly]:
     """
     if a.is_zero() and b.is_zero():
         raise InvalidInput("gcd of two zero polynomials is undefined")
-    r0, s0, t0 = a, TPoly.one(), TPoly.zero()
-    r1, s1, t1 = b, TPoly.zero(), TPoly.one()
+    r0, s0, t0 = a, TPoly([1]), TPoly()
+    r1, s1, t1 = b, TPoly(), TPoly([1])
     while not r1.is_zero():
         q, r = divmod(r0, r1)
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    inv = PolyFraction.one() / r0.coeffs[-1]
+    inv = 1 / r0.coeffs[-1]
     return r0 * inv, s0 * inv, t0 * inv
 
 
@@ -338,7 +230,7 @@ def solve_bezout_system(da: TPoly, db: TPoly, target: TPoly) -> Tuple[TPoly, TPo
         row += [da[k - j] for j in range(nb)]
         rows.append(row)
         rhs.append(target[k])
-    sol = solve_unique(rows, rhs, PolyFraction.zero())
+    sol = solve_unique(rows, rhs, TPoly._zero)
     if sol is None:
         raise CoprimalityViolation("Sylvester system is singular; factors share a root")
     return TPoly(sol[:na]), TPoly(sol[na:])
@@ -358,10 +250,10 @@ def hadamard_proper_core(a: RatFun, b: RatFun) -> RatFun:
     first piece at t = 0.
     """
     n = b.den.degree
-    da = TPoly.from_bipoly(lift_to_y(a.den))
-    na = TPoly.from_bipoly(lift_to_y(a.num))
-    db = TPoly.from_bipoly(sub_x_over_y(b.den, n))
-    nb = TPoly.from_bipoly(sub_x_over_y(b.num, n))
+    da = TPoly(a.den.coeffs)
+    na = TPoly(a.num.coeffs)
+    db = TPoly(sub_x_over_y(b.den, n).coeffs)
+    nb = TPoly(sub_x_over_y(b.num, n).coeffs)
     return _constant_term(na * nb, da, db)
 
 
@@ -374,10 +266,10 @@ def _binomial_proper_core(a: RatFun, b: RatFun) -> RatFun:
     factor is D_A(x), nonzero, so the same split applies.
     """
     m, n = a.den.degree, b.den.degree
-    da = TPoly.from_bipoly(sub_one_minus_y(a.den, m))
-    na = TPoly.from_bipoly(sub_one_minus_y(a.num, m - 1))
-    db = TPoly.from_bipoly(sub_x_over_y(b.den, n))
-    nb = TPoly.from_bipoly(sub_x_over_y(b.num, n))
+    da = TPoly(sub_one_minus_y(a.den, m).coeffs)
+    na = TPoly(sub_one_minus_y(a.num, m - 1).coeffs)
+    db = TPoly(sub_x_over_y(b.den, n).coeffs)
+    nb = TPoly(sub_x_over_y(b.num, n).coeffs)
     return _constant_term(na * nb, da, db)
 
 
@@ -385,22 +277,11 @@ def _constant_term(num: TPoly, da: TPoly, db: TPoly) -> RatFun:
     ra, rb = constant_term_split(num, da, db)
     if rb.degree >= db.degree:
         raise InternalInvariantViolation("negative-power part is not proper")
-    d0 = da.constant_coeff()
+    d0 = da[0]
     if not d0:
         raise InternalInvariantViolation("nonnegative-power part has a pole at t = 0")
-    value = (ra.constant_coeff() / d0).reduced()
+    value = (ra[0] / d0).reduced()
     return RatFun._quotient(value.num, value.den)
-
-
-def hadamard_via_constant_term(a: RatFun, b: RatFun) -> RatFun:
-    """The Hadamard product by constant-term extraction.
-
-    Improper operands are split into polynomial plus proper parts first; the
-    theorem behind the split assumes proper operands.
-    """
-    if a.is_zero() or b.is_zero():
-        return RatFun.zero()
-    return hadamard_from_proper_core(a, b, hadamard_proper_core)
 
 
 def binomial_via_constant_term(a: RatFun, b: RatFun) -> RatFun:

@@ -1,16 +1,20 @@
-"""Exact polynomial arithmetic over the rationals.
+"""Exact polynomial arithmetic over the rationals: one kernel, three rings.
 
 The ground field is Q, represented by `fractions.Fraction` (already reduced,
-positive denominator, arbitrary precision).  On top of it this module builds:
+positive denominator, arbitrary precision).  Dense univariate arithmetic
+(trimmed storage, +, -, *, **, divmod, exact division, monic) is written
+once, in `_DensePoly`, for any coefficient ring; a subclass names only its
+ring, by a zero element and a coefficient coercion.  The three rings are
 
-* `Poly`       dense univariate polynomials in x,
-* `BiPoly`     polynomials in an auxiliary variable y whose coefficients are
-               `Poly` values in x,
-* `Matrix`     rectangular grids of `Poly` entries,
+* `Poly`       Q[x], with calculus, content and formatting on top,
+* `BiPoly`     Q[x][y], polynomials in an auxiliary variable y whose
+               coefficients are `Poly` values in x,
+* `TPoly`      Q(x)[t], in the `pfrac` module,
 
-together with fraction-free (Bareiss) determinants, Sylvester matrices and
-resultants, and the y-substitutions that turn denominator products such as
-prod(1 - (alpha_i + beta_j) x) into a single resultant computation.
+and `Matrix` holds rectangular grids of `Poly` entries.  On top of them
+this module builds fraction-free (Bareiss) determinants, Sylvester matrices
+and resultants, and the y-substitutions that turn denominator products such
+as prod(1 - (alpha_i + beta_j) x) into a single resultant computation.
 
 The two hot kernels leave `Fraction` for plain integers.  Determinants clear
 denominators row by row and eliminate in Z[x] (Bareiss, Math. Comp. 22,
@@ -49,13 +53,200 @@ def _fr(value) -> Fraction:
     raise InvalidInput(f"expected an integer or Fraction, got {value!r}")
 
 
-class Poly:
-    """A univariate polynomial over Q with dense coefficient storage.
+class _DensePoly:
+    """Dense univariate polynomials over a commutative coefficient ring.
 
-    ``coeffs[i]`` is the coefficient of x^i; trailing zeros are trimmed so the
-    zero polynomial is the empty tuple.  ``degree`` is -1 for zero, purely as
-    a sentinel: code must branch on ``is_zero()`` instead of doing arithmetic
-    with the degree of zero.
+    ``coeffs[i]`` is the coefficient of the i-th power; trailing zeros are
+    trimmed so the zero polynomial is the empty tuple.  ``degree`` is -1 for
+    zero, purely as a sentinel: code must branch on ``is_zero()`` instead of
+    doing arithmetic with the degree of zero.
+
+    A subclass names its ring: ``_zero`` is the zero coefficient and
+    ``_coeff`` turns a value into a coefficient or raises InvalidInput.
+    Coefficients need +, -, * and truth testing; division and `monic` also
+    need / between coefficients.  An operand that is a coefficient rather
+    than a polynomial acts as a constant polynomial.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable = ()):
+        coerce = self._coeff
+        vals = [coerce(c) for c in coeffs]
+        while vals and not vals[-1]:
+            vals.pop()
+        self.coeffs = tuple(vals)
+
+    @classmethod
+    def _make(cls, vals: list):
+        """A polynomial from a list of ring elements, trimmed, not coerced."""
+        while vals and not vals[-1]:
+            vals.pop()
+        p = object.__new__(cls)
+        p.coeffs = tuple(vals)
+        return p
+
+    def _lift(self, other):
+        """other as a polynomial of this class, or None if it cannot be one."""
+        if isinstance(other, type(self)):
+            return other
+        try:
+            return self._make([self._coeff(other)])
+        except InvalidInput:
+            return None
+
+    # -- basic queries -----------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    @property
+    def degree(self) -> int:
+        """Degree, with -1 as the sentinel for the zero polynomial."""
+        return len(self.coeffs) - 1
+
+    @property
+    def leading(self):
+        if not self.coeffs:
+            raise InvalidInput("the zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def __getitem__(self, i: int):
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return self._zero
+
+    def __eq__(self, other) -> bool:
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self.coeffs == o.coeffs
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.coeffs))
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return self._make(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __mul__(self, other):
+        """Schoolbook product, one row per term of the shorter factor.
+
+        A one-term factor is a plain scalar multiple, and no coefficient is
+        ever added to a zero, which over Q(x) would cost a gcd.
+        """
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return self._make([])
+        s, last = b[0], len(a) - 1
+        out = [c * s for c in a]
+        for j in range(1, len(b)):
+            s = b[j]
+            if s:
+                out[j:] = [d + s * c for d, c in zip(out[j:], a)]
+                out.append(s * a[last])
+            else:
+                out.append(s)
+        return self._make(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"{type(self).__name__} exponent must be a nonnegative integer")
+        out = self._make([self._coeff(1)])
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
+
+    def __divmod__(self, other):
+        """Long division; the divisor's leading coefficient must be invertible.
+
+        The leading term of each step cancels exactly, so it is dropped
+        rather than subtracted.
+        """
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        b = o.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        db = len(b) - 1
+        if len(self.coeffs) <= db:
+            return self._make([]), self
+        rem = list(self.coeffs)
+        lead = b[-1]
+        quo = [self._zero] * (len(rem) - db)
+        for k in range(len(quo) - 1, -1, -1):
+            r = rem[k + db]
+            if r:
+                c = quo[k] = r / lead
+                rem[k : k + db] = [d - c * e for d, e in zip(rem[k : k + db], b)]
+        return self._make(quo), self._make(rem[:db])
+
+    def __floordiv__(self, other):
+        return divmod(self, other)[0]
+
+    def __mod__(self, other):
+        return divmod(self, other)[1]
+
+    def exact_div(self, other):
+        """Quotient self/other, raising DivisibilityError unless it is exact."""
+        q, r = divmod(self, other)
+        if r:
+            raise DivisibilityError(f"{self} is not divisible by {other}")
+        return q
+
+    def monic(self):
+        """self over its leading coefficient; zero stays zero."""
+        if not self.coeffs:
+            return self
+        lead = self.coeffs[-1]
+        return self._make([c / lead for c in self.coeffs])
+
+
+class Poly(_DensePoly):
+    """A univariate polynomial over Q with dense coefficient storage.
 
     >>> Poly([1, -1]) * Poly([1, 1])
     Poly('1 - x^2')
@@ -63,13 +254,9 @@ class Poly:
     (Poly('-1 - x - x^2'), Poly('1'))
     """
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        vals = [_fr(c) for c in coeffs]
-        while vals and not vals[-1]:
-            vals.pop()
-        self.coeffs = tuple(vals)
+    __slots__ = ()
+    _zero = Fraction(0)
+    _coeff = staticmethod(_fr)
 
     # -- constructors ------------------------------------------------------
 
@@ -95,98 +282,9 @@ class Poly:
             raise InvalidInput("monomial exponent must be nonnegative")
         return Poly([0] * k + [c])
 
-    # -- basic queries -----------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 as the sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise InvalidInput("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     @property
     def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    # -- equality ----------------------------------------------------------
-
-    def _coerce(self, other) -> Optional["Poly"]:
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, Scalar):
-            return Poly([other])
-        return None
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.coeffs == o.coeffs
-
-    def __hash__(self):
-        return hash(("Poly", self.coeffs))
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self.coeffs or not o.coeffs:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
+        return self[0]
 
     def __truediv__(self, other):
         """Division by a nonzero scalar only; use exact_div for polynomials."""
@@ -194,60 +292,13 @@ class Poly:
             c = _fr(other)
             if not c:
                 raise ZeroDivisionError("division of a Poly by zero")
-            return Poly([a / c for a in self.coeffs])
+            return Poly._make([a / c for a in self.coeffs])
         return NotImplemented
-
-    def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("Poly exponent must be a nonnegative integer")
-        out = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = o.degree
-        lead = o.leading
-        if len(rem) <= db:
-            return Poly(), self
-        quo = [Fraction(0)] * (len(rem) - db)
-        for k in range(len(rem) - db - 1, -1, -1):
-            c = rem[k + db] / lead
-            if c:
-                quo[k] = c
-                for j, b in enumerate(o.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quo), Poly(rem)
-
-    def __floordiv__(self, other):
-        q, _ = divmod(self, other)
-        return q
-
-    def __mod__(self, other):
-        _, r = divmod(self, other)
-        return r
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        """Quotient self/other, raising DivisibilityError unless it is exact."""
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise DivisibilityError(f"{self} is not divisible by {other}")
-        return q
 
     # -- calculus and substitution ------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._make([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def evaluate(self, v) -> Fraction:
         v = _fr(v)
@@ -260,7 +311,7 @@ class Poly:
         """self(inner(x)), by Horner's rule over Poly arithmetic."""
         acc = Poly()
         for c in reversed(self.coeffs):
-            acc = acc * inner + Poly([c])
+            acc = acc * inner + c
         return acc
 
     def scale_arg(self, c) -> "Poly":
@@ -271,7 +322,7 @@ class Poly:
         for a in self.coeffs:
             out.append(a * power)
             power *= c
-        return Poly(out)
+        return Poly._make(out)
 
     def shift(self, k: int) -> "Poly":
         """x^k * self."""
@@ -279,12 +330,7 @@ class Poly:
             raise InvalidInput("shift amount must be nonnegative")
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self / self.leading
+        return Poly._make([Fraction(0)] * k + list(self.coeffs))
 
     def content(self) -> Fraction:
         """Rational content: gcd of numerators over lcm of denominators.
@@ -494,113 +540,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         lift = new_lift
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
+def _as_poly(value) -> Poly:
+    """A Poly, or a scalar as a constant Poly; InvalidInput otherwise."""
+    return value if isinstance(value, Poly) else Poly([value])
 
 
-class BiPoly:
+class BiPoly(_DensePoly):
     """A polynomial in y whose coefficients are `Poly` values in x.
 
-    ``ycoeffs[k]`` is the coefficient of y^k.  Trailing zero coefficients are
-    trimmed, so the zero value is the empty tuple and ``ydegree`` is -1 only
-    for zero (again a sentinel, guarded by ``is_zero``).
+    ``coeffs[k]`` is the coefficient of y^k; a scalar coefficient is read
+    as a constant in x.
     """
 
-    __slots__ = ("ycoeffs",)
-
-    def __init__(self, ycoeffs: Iterable = ()):
-        vals = []
-        for p in ycoeffs:
-            if not isinstance(p, Poly):
-                p = Poly([p]) if isinstance(p, Scalar) else None
-                if p is None:
-                    raise InvalidInput("BiPoly coefficients must be Poly or scalar")
-            vals.append(p)
-        while vals and vals[-1].is_zero():
-            vals.pop()
-        self.ycoeffs = tuple(vals)
-
-    @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly()
-
-    @staticmethod
-    def constant(p: Poly) -> "BiPoly":
-        return BiPoly([p])
-
-    def is_zero(self) -> bool:
-        return not self.ycoeffs
-
-    @property
-    def ydegree(self) -> int:
-        return len(self.ycoeffs) - 1
-
-    def __getitem__(self, k: int) -> Poly:
-        if 0 <= k < len(self.ycoeffs):
-            return self.ycoeffs[k]
-        return Poly()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.ycoeffs == other.ycoeffs
-
-    def __hash__(self):
-        return hash(("BiPoly", self.ycoeffs))
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        a, b = self.ycoeffs, other.ycoeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, p in enumerate(b):
-            out[i] = out[i] + p
-        return BiPoly(out)
-
-    def __neg__(self) -> "BiPoly":
-        return BiPoly([-p for p in self.ycoeffs])
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Poly,) + Scalar):
-            q = other if isinstance(other, Poly) else Poly([other])
-            return BiPoly([p * q for p in self.ycoeffs])
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return BiPoly()
-        out = [Poly() for _ in range(len(self.ycoeffs) + len(other.ycoeffs) - 1)]
-        for i, p in enumerate(self.ycoeffs):
-            if p.is_zero():
-                continue
-            for j, q in enumerate(other.ycoeffs):
-                out[i + j] = out[i + j] + p * q
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "BiPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("BiPoly exponent must be a nonnegative integer")
-        out = BiPoly([Poly.one()])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    __slots__ = ()
+    _zero = Poly()
+    _coeff = staticmethod(_as_poly)
 
     def __repr__(self) -> str:
-        terms = ", ".join(f"y^{k}: {p}" for k, p in enumerate(self.ycoeffs))
+        terms = ", ".join(f"y^{k}: {p}" for k, p in enumerate(self.coeffs))
         return f"BiPoly({terms})"
 
 
@@ -610,17 +567,7 @@ class Matrix:
     __slots__ = ("entries",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        grid = []
-        for row in rows:
-            cells = []
-            for e in row:
-                if not isinstance(e, Poly):
-                    if isinstance(e, Scalar):
-                        e = Poly([e])
-                    else:
-                        raise InvalidInput("matrix entries must be Poly or scalar")
-                cells.append(e)
-            grid.append(tuple(cells))
+        grid = [tuple(_as_poly(e) for e in row) for row in rows]
         if grid:
             width = len(grid[0])
             if any(len(r) != width for r in grid):
@@ -735,13 +682,13 @@ def det_fraction_free(m: Matrix) -> Poly:
 def sylvester(a: BiPoly, b: BiPoly) -> Matrix:
     """Sylvester matrix of a and b as polynomials in y.
 
-    With m = ydeg(a) and n = ydeg(b) the matrix is (m+n) x (m+n): first n
+    With m = deg_y(a) and n = deg_y(b) the matrix is (m+n) x (m+n): first n
     shifted rows of a's y-coefficients in descending order, then m shifted
     rows of b's.  Its determinant is the resultant with respect to y.
     """
     if a.is_zero() or b.is_zero():
         raise InvalidInput("sylvester matrix requires nonzero polynomials")
-    m, n = a.ydegree, b.ydegree
+    m, n = a.degree, b.degree
     size = m + n
     if size == 0:
         return Matrix(())
@@ -807,7 +754,7 @@ def lift_to_y(p: Poly) -> BiPoly:
     """p(y): the same coefficients read as constants in x."""
     if p.is_zero():
         raise InvalidInput("substitution of the zero polynomial is not useful")
-    return BiPoly([Poly([c]) for c in p.coeffs])
+    return BiPoly(p.coeffs)
 
 
 def _row_reduce(rows: Sequence[Sequence], rhs: Sequence, zero):
@@ -841,33 +788,29 @@ def _row_reduce(rows: Sequence[Sequence], rhs: Sequence, zero):
     return aug, pivots, consistent
 
 
+def _solve(rows: Sequence[Sequence], rhs: Sequence, zero):
+    """(a solution with free variables zero, or None if inconsistent; rank)."""
+    if len(rows) != len(rhs):
+        raise InvalidInput("matrix and right-hand side sizes differ")
+    aug, pivots, consistent = _row_reduce(rows, rhs, zero)
+    if not consistent:
+        return None, len(pivots)
+    sol = [zero] * (len(rows[0]) if rows else 0)
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][-1]
+    return sol, len(pivots)
+
+
 def solve_exact(rows: Sequence[Sequence], rhs: Sequence, zero):
     """One exact solution of rows * v = rhs, or None if inconsistent.
 
     Free variables are set to zero.  Works over Fraction or any field type
     with the same operator protocol.
     """
-    if len(rows) != len(rhs):
-        raise InvalidInput("matrix and right-hand side sizes differ")
-    nvars = len(rows[0]) if rows else 0
-    aug, pivots, consistent = _row_reduce(rows, rhs, zero)
-    if not consistent:
-        return None
-    sol = [zero] * nvars
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][-1]
-    return sol
+    return _solve(rows, rhs, zero)[0]
 
 
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence, zero):
     """The unique solution of rows * v = rhs, or None if singular/inconsistent."""
-    if len(rows) != len(rhs):
-        raise InvalidInput("matrix and right-hand side sizes differ")
-    nvars = len(rows[0]) if rows else 0
-    aug, pivots, consistent = _row_reduce(rows, rhs, zero)
-    if not consistent or len(pivots) != nvars:
-        return None
-    sol = [zero] * nvars
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][-1]
-    return sol
+    sol, rank = _solve(rows, rhs, zero)
+    return sol if sol is not None and rank == len(sol) else None

@@ -14,7 +14,7 @@ truncated product.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DivisionByZero,
@@ -361,17 +361,25 @@ def reconstruct_rational(s: Series, max_den_deg: int, max_num_deg: int) -> RatFu
         sol = solve_exact(rows, rhs, zero)
         if sol is None:
             continue
+        # the solved equations say den * s has no terms beyond max_num_deg
         den = Poly([Fraction(1)] + list(sol))
-        # numerator by truncated multiplication; the solved equations say the
-        # product has no terms beyond max_num_deg
-        prod = [
-            sum((den[j] * c[n - j] for j in range(min(n, d) + 1)), zero)
-            for n in range(s.order)
-        ]
-        if any(prod[max_num_deg + 1 :]):
-            raise InternalInvariantViolation("solved recurrence leaves a nonzero tail")
-        return RatFun(Poly(prod[: max_num_deg + 1]), den)
+        return _recover_numerator(den, c, max_num_deg, "solved recurrence leaves a nonzero tail")
     raise ReconstructionFailed(
         f"no rational function with deg(num) <= {max_num_deg} and "
         f"deg(den) <= {max_den_deg} matches the series"
     )
+
+
+def _recover_numerator(den: Poly, s: Sequence[Fraction], num_deg: int, what: str) -> RatFun:
+    """num/den, where num is den * s truncated after the x^num_deg term.
+
+    ``s`` is a series prefix of num/den.  Every later coefficient of the
+    truncated product den * s must vanish; a nonzero one raises
+    InternalInvariantViolation with the message ``what``.
+    """
+    d, zero = den.coeffs, Fraction(0)
+    top = len(d) - 1
+    prod = [sum((d[j] * s[n - j] for j in range(min(n, top) + 1)), zero) for n in range(len(s))]
+    if any(prod[num_deg + 1 :]):
+        raise InternalInvariantViolation(what)
+    return RatFun(Poly(prod[: num_deg + 1]), den)

@@ -214,6 +214,33 @@ class TestMainCommand:
         assert capsys.readouterr().out.strip() == literal
         assert sys.get_int_max_str_digits() == limit
 
+    def test_nesting_over_the_limit_is_a_parse_error(self, capsys):
+        deep = "(" * 2000 + "x" + ")" * 2000
+        assert main(["eval", deep]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: nesting deeper than 100 levels at position 100")
+        assert main(["eval", "--", "-" * 101 + "x"]) == 2
+        assert "at position 100" in capsys.readouterr().err
+        # a sequence's argument list opens a level too
+        assert main(["eval", "g(" * 2000 + "1, 1" + ")" * 2000]) == 2
+        assert "at position 201" in capsys.readouterr().err
+
+    def test_nesting_at_the_limit_evaluates(self, capsys):
+        assert main(["eval", "(" * 100 + "x" + ")" * 100]) == 0
+        assert capsys.readouterr().out.strip() == "x"
+        assert main(["eval", "--", "-" * 100 + "x"]) == 0
+        assert capsys.readouterr().out.strip() == "x"
+        assert main(["eval", "g(" * 100 + "1, 1" + ")" * 100]) == 1
+        assert "must be rational constants" in capsys.readouterr().err
+
+    def test_long_flat_sum_evaluates(self, capsys):
+        # parses to an Add tree 2999 levels deep
+        assert main(["eval", "+".join(["x"] * 3000)]) == 0
+        assert capsys.readouterr().out.strip() == "3000*x"
+        # sibling groups do not add up to a deeper nesting
+        assert main(["eval", "+".join(["(-x)"] * 150)]) == 0
+        assert capsys.readouterr().out.strip() == "-150*x"
+
     def test_bprod_every_method(self, capsys):
         want = "(2*x^2 - 3*x^3) / (1 - 6*x + 7*x^2 + 6*x^3 - 9*x^4)"
         for method in ("resultant", "symfun", "pfrac", "reconstruct"):

@@ -24,6 +24,7 @@ from binprod import (
     series_binomial,
     series_hadamard,
 )
+from binprod import convolve, polycore, symfun
 from binprod.ratfun import Series
 
 
@@ -382,3 +383,49 @@ class TestSharedCubicDecomposition:
         with pytest.raises(InvalidInput):
             improper = RatFun(Poly.monomial(3), Poly([1, -1, -1, -1]))
             komatsu_decompose(improper, improper)
+
+
+class TestRouteIndependence:
+    """With one route's denominator entry points broken, the others still work.
+
+    This is what makes `--cross-check` a real check: no two routes share
+    denominator code.
+    """
+
+    PAIRS = [
+        # Fibonacci and Pell
+        (RatFun(Poly.x(), Poly([1, -1, -1])), RatFun(Poly.x(), Poly([1, -2, -1]))),
+        # improper operands on both sides
+        (RatFun(Poly([1, 0, 0, 2]), Poly([1, -1])), RatFun(Poly([2, -1, 3]), Poly([1, -1, -1]))),
+    ]
+
+    @pytest.mark.parametrize(
+        "blocked, entry_points, others",
+        [
+            (
+                "resultant",
+                [(polycore, "det_fraction_free"), (convolve, "resultant")],
+                ("pfrac", "reconstruct", "symfun"),
+            ),
+            ("symfun", [(symfun, "denominator_via_symfun")], ("resultant", "pfrac", "reconstruct")),
+        ],
+    )
+    def test_other_routes_survive_a_broken_route(self, monkeypatch, blocked, entry_points, others):
+        want = [
+            (binomial_product(a, b, method=blocked), hadamard_product(a, b, method=blocked))
+            for a, b in self.PAIRS
+        ]
+
+        def broken(*args, **kwargs):
+            raise AssertionError(f"the {blocked} route's denominator code was called")
+
+        for module, name in entry_points:
+            monkeypatch.setattr(module, name, broken)
+        for (a, b), (b_want, h_want) in zip(self.PAIRS, want):
+            with pytest.raises(AssertionError):
+                binomial_product(a, b, method=blocked)
+            with pytest.raises(AssertionError):
+                hadamard_product(a, b, method=blocked)
+            for method in others:
+                assert binomial_product(a, b, method=method) == b_want
+                assert hadamard_product(a, b, method=method) == h_want

@@ -17,7 +17,6 @@ from binprod import (
     binomial_via_constant_term,
     constant_term_split,
     hadamard_product,
-    hadamard_via_constant_term,
     solve_bezout_system,
     tpoly_xgcd,
 )
@@ -58,7 +57,6 @@ class TestPolyFraction:
 
     def test_equality_ignores_representation(self):
         assert pf([0, 2], [2, -2]) == pf([0, 1], [1, -1])
-        assert hash(pf([0, 2], [2, -2])) == hash(pf([0, 1], [1, -1]))
 
     def test_reduced_canonical_form(self):
         f = (pf([0, 1]) * pf([1, 1])) / (pf([2, 2]))
@@ -79,7 +77,7 @@ class TestPolyFraction:
 
 class TestTPoly:
     def test_from_bipoly(self):
-        t = TPoly.from_bipoly(sub_x_over_y(Poly([1, -2, -1]), 2))
+        t = TPoly(sub_x_over_y(Poly([1, -2, -1]), 2).coeffs)
         assert t.degree == 2
         assert t[0] == pf([0, 0, -1])
         assert t[1] == pf([0, -2])
@@ -134,11 +132,9 @@ class TestConstantTermSplit:
     def _fib_pell_kernel(self):
         # A(t) B(x/t) for A = x/(1-x-x^2), B = x/(1-2x-x^2):
         # numerator x t^2 over (1 - t - t^2)(t^2 - 2xt - x^2)
-        da = TPoly.from_bipoly(lift_to_y(Poly([1, -1, -1])))
-        db = TPoly.from_bipoly(sub_x_over_y(Poly([1, -2, -1]), 2))
-        num = TPoly.from_bipoly(lift_to_y(Poly([0, 1]))) * TPoly.from_bipoly(
-            sub_x_over_y(Poly([0, 1]), 2)
-        )
+        da = TPoly(lift_to_y(Poly([1, -1, -1])).coeffs)
+        db = TPoly(sub_x_over_y(Poly([1, -2, -1]), 2).coeffs)
+        num = TPoly(lift_to_y(Poly([0, 1])).coeffs) * TPoly(sub_x_over_y(Poly([0, 1]), 2).coeffs)
         return num, da, db
 
     def test_worked_split_values(self):
@@ -198,11 +194,9 @@ class TestBezoutSolver:
         assert l[0] == pf([0, 1, 0, -1], [1, -2, -7, -2, 1])
 
     def _kernel(self):
-        da = TPoly.from_bipoly(lift_to_y(Poly([1, -1, -1])))
-        db = TPoly.from_bipoly(sub_x_over_y(Poly([1, -2, -1]), 2))
-        num = TPoly.from_bipoly(lift_to_y(Poly([0, 1]))) * TPoly.from_bipoly(
-            sub_x_over_y(Poly([0, 1]), 2)
-        )
+        da = TPoly(lift_to_y(Poly([1, -1, -1])).coeffs)
+        db = TPoly(sub_x_over_y(Poly([1, -2, -1]), 2).coeffs)
+        num = TPoly(lift_to_y(Poly([0, 1])).coeffs) * TPoly(sub_x_over_y(Poly([0, 1]), 2).coeffs)
         return num, da, db
 
 
@@ -218,7 +212,7 @@ class TestEngines:
         for _ in range(30):
             a = rand_proper(rng)
             b = rand_proper(rng)
-            assert hadamard_via_constant_term(a, b) == hadamard_product(a, b)
+            assert hadamard_product(a, b, method="pfrac") == hadamard_product(a, b)
             assert binomial_via_constant_term(a, b) == binomial_product(a, b)
 
     def test_engines_handle_improper_inputs(self):
@@ -228,11 +222,11 @@ class TestEngines:
             den = Poly([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
             a = RatFun(num, den)
             b = rand_proper(rng)
-            assert hadamard_via_constant_term(a, b) == hadamard_product(a, b)
+            assert hadamard_product(a, b, method="pfrac") == hadamard_product(a, b)
             assert binomial_via_constant_term(a, b) == binomial_product(a, b)
             assert binomial_via_constant_term(b, a) == binomial_product(b, a)
 
     def test_zero_operands(self):
         f = RatFun.geometric(2)
-        assert hadamard_via_constant_term(f, RatFun.zero()) == RatFun.zero()
+        assert hadamard_product(f, RatFun.zero(), method="pfrac") == RatFun.zero()
         assert binomial_via_constant_term(RatFun.zero(), f) == RatFun.zero()

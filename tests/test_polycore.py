@@ -12,11 +12,12 @@ from binprod import (
     InvalidInput,
     Matrix,
     Poly,
+    PolyFraction,
+    TPoly,
     det_fraction_free,
     format_poly,
     lift_to_y,
     poly_gcd,
-    poly_lcm,
     resultant,
     solve_exact,
     solve_unique,
@@ -120,15 +121,6 @@ class TestPolyBasics:
         g = poly_gcd(a, b)
         assert g == (Poly([1, -1]) * Poly([1, 2])).monic()
         assert g.leading == 1
-
-    def test_lcm_times_gcd(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            a = rand_poly(rng, rng.randint(1, 3))
-            b = rand_poly(rng, rng.randint(1, 3))
-            g = poly_gcd(a, b)
-            l = poly_lcm(a, b)
-            assert (g * l).monic() == (a * b).monic()
 
     def test_gcd_certificate_agrees_with_euclid_on_random_pairs(self):
         rng = random.Random(13)
@@ -247,6 +239,76 @@ class TestPolyBasics:
         assert format_poly(Poly([0, -1, 0, Fraction(2, 3)])) == "-x + 2/3*x^3"
 
 
+def rand_q(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+
+def rand_qx(rng):
+    return Poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+
+def rand_qx_fraction(rng):
+    return PolyFraction(rand_qx(rng), Poly([1, rng.randint(-2, 2)]))
+
+
+# each class of the dense kernel with a random coefficient of its ring
+KERNEL_RINGS = [(Poly, rand_q), (BiPoly, rand_qx), (TPoly, rand_qx_fraction)]
+
+
+class TestDenseKernel:
+    @staticmethod
+    def rand(rng, cls, coeff, deg):
+        lead = coeff(rng)
+        while not lead:
+            lead = coeff(rng)
+        return cls([coeff(rng) for _ in range(deg)] + [lead])
+
+    @pytest.mark.parametrize("cls, coeff", KERNEL_RINGS, ids=["Poly", "BiPoly", "TPoly"])
+    def test_ring_laws(self, cls, coeff):
+        rng = random.Random(43)
+        for _ in range(4):
+            a, b, c = (self.rand(rng, cls, coeff, rng.randint(0, 3)) for _ in range(3))
+            assert (a * b) * c == a * (b * c)
+            assert (a + b) + c == a + (b + c)
+            assert a * (b + c) == a * b + a * c
+            assert a * b == b * a and (a * b).degree == a.degree + b.degree
+            assert a - a == cls() and (a - b) + b == a
+            assert a ** 0 == cls([1]) and a ** 1 == a
+            assert a ** 3 == a * a * a and a ** 4 == a * a * a * a
+            # operands of different lengths add coefficientwise
+            long, short = self.rand(rng, cls, coeff, 4), self.rand(rng, cls, coeff, 1)
+            total = long + short
+            assert total == short + long
+            assert all(total[i] == long[i] + short[i] for i in range(6))
+            assert total.degree == 4 and total[5] == cls._zero
+            # a one-term multiplier scales every coefficient
+            s = coeff(rng)
+            scaled = cls([x * s for x in a.coeffs])
+            assert a * s == s * a == a * cls([s]) == scaled
+            assert a * cls() == cls() * a == cls()
+
+    @pytest.mark.parametrize("cls, coeff", KERNEL_RINGS[::2], ids=["Poly", "TPoly"])
+    def test_division_with_remainder(self, cls, coeff):
+        rng = random.Random(47)
+        for _ in range(6):
+            a = self.rand(rng, cls, coeff, rng.randint(0, 4))
+            b = self.rand(rng, cls, coeff, rng.randint(0, 2))
+            q, r = divmod(a, b)
+            assert q * b + r == a
+            assert r.degree < b.degree
+            assert a // b == q and a % b == r
+            assert (a * b).exact_div(b) == a
+            assert b.monic().leading == 1
+
+    @pytest.mark.parametrize("cls, coeff", KERNEL_RINGS, ids=["Poly", "BiPoly", "TPoly"])
+    def test_zero_divisor_and_rejected_coefficient(self, cls, coeff):
+        with pytest.raises(ZeroDivisionError):
+            divmod(cls([coeff(random.Random(53))]), cls())
+        with pytest.raises(InvalidInput):
+            cls([1, 0.5])
+        assert cls([1, 2, 0, 0]).degree == 1 and cls([0, 0]).coeffs == ()
+
+
 class TestDeterminant:
     def test_matches_cofactor_expansion_on_numbers(self):
         rng = random.Random(23)
@@ -352,7 +414,7 @@ class TestSubstitutions:
     def test_one_minus_y_substitution(self):
         # (1-y)^1 * p(x/(1-y)) for p = 1 - 3x is (1 - y) - 3x
         bp = sub_one_minus_y(Poly([1, -3]))
-        assert bp.ydegree == 1
+        assert bp.degree == 1
         assert bp[0] == Poly([1, -3])
         assert bp[1] == Poly([-1])
 
@@ -365,7 +427,7 @@ class TestSubstitutions:
 
     def test_x_over_y_substitution(self):
         bp = sub_x_over_y(Poly([1, -2, -1]))
-        assert bp.ydegree == 2
+        assert bp.degree == 2
         assert bp[2] == Poly.one()
         assert bp[1] == Poly([0, -2])
         assert bp[0] == Poly([0, 0, -1])
