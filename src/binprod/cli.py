@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import shlex
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,7 @@ from .convolve import (
     hadamard_denominator,
     hadamard_product,
 )
-from .errors import BinprodError, InvalidInput, ParseError
+from .errors import BinprodError, InternalInvariantViolation, InvalidInput, ParseError
 from .polycore import Poly, format_poly
 from .ratfun import RatFun, Series, format_ratfun, reconstruct_rational
 from .seqlib import named_gf, run_identity_suite, sequence_descriptions
@@ -675,11 +676,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantViolation as exc:
+        return _internal_error(exc, argv)
     except BinprodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug in binprod, not in the input
+        return _internal_error(exc, argv)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _internal_error(exc: Exception, argv: Optional[List[str]]) -> int:
+    """Report a failure of binprod itself, with the command that reproduces it."""
+    command = shlex.join(["binprod", *(sys.argv[1:] if argv is None else argv)])
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    print(f"reproduce with: {command}", file=sys.stderr)
+    return 4
 
 
 def entry() -> None:

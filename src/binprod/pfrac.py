@@ -100,7 +100,10 @@ class PolyFraction:
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyFraction(-self.num, self.den)
+        # -num/den is in lowest terms when num/den is, so no gcd is taken
+        f = object.__new__(PolyFraction)
+        f.num, f.den = -self.num, self.den
+        return f
 
     def __sub__(self, other):
         other = _pf(other)

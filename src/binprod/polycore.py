@@ -16,15 +16,17 @@ this module builds fraction-free (Bareiss) determinants, Sylvester matrices
 and resultants, and the y-substitutions that turn denominator products such
 as prod(1 - (alpha_i + beta_j) x) into a single resultant computation.
 
-The two hot kernels leave `Fraction` for plain integers.  Determinants clear
+The hot kernels leave `Fraction` for plain integers.  Determinants clear
 denominators row by row and eliminate in Z[x] (Bareiss, Math. Comp. 22,
-1968), dividing by the row scales once at the end.  `poly_gcd` is a modular
-gcd (Brown, J. ACM 18, 1971): it clears both arguments to primitive integer
-polynomials and lifts their gcd by the Chinese remainder theorem from the
-monic gcds of their images in GF(p)[x], for primes p from 2^61 - 1
-downward.  A constant image proves the arguments coprime at once.  Every
-lifted candidate is trial divided into both arguments before it is
-returned; since no image gcd at a prime that divides neither leading
+1968), dividing by the row scales once at the end.  `Poly.exact_div`, the
+division by a gcd in every fraction type, clears both operands and divides
+in Z[x] by the primitive part of the divisor, rescaling once.  `poly_gcd`
+is a modular gcd (Brown, J. ACM 18, 1971): it clears both arguments to
+primitive integer polynomials and lifts their gcd by the Chinese remainder
+theorem from the monic gcds of their images in GF(p)[x], for primes p from
+2^61 - 1 downward.  A constant image proves the arguments coprime at
+once.  Every lifted candidate is trial divided into both arguments before
+it is returned; since no image gcd at a prime that divides neither leading
 coefficient has lower degree than the true gcd, a candidate that divides
 both is the gcd, so the answer is exact, not probabilistic.
 
@@ -294,6 +296,33 @@ class Poly(_DensePoly):
                 raise ZeroDivisionError("division of a Poly by zero")
             return Poly._make([a / c for a in self.coeffs])
         return NotImplemented
+
+    def exact_div(self, other) -> "Poly":
+        """Quotient self/other, raising DivisibilityError unless it is exact.
+
+        Runs in Z[x]: self = A/sa and other = c*B/sb with integer lists A, B
+        and B primitive.  By Gauss's lemma, B divides A over Q exactly when
+        it divides A in Z[x], so one `_zx_exact_div` decides divisibility,
+        and the quotient is rescaled by sb/(sa*c) once per coefficient.
+
+        >>> Poly([Fraction(-1, 4), 0, 1]).exact_div(Poly([1, 2]))
+        Poly('-1/4 + 1/2*x')
+        """
+        o = self._lift(other)
+        if o is None:
+            return super().exact_div(other)
+        if not o.coeffs:
+            raise ZeroDivisionError("polynomial division by zero")
+        sa = lcm(*(c.denominator for c in self.coeffs))
+        sb = lcm(*(c.denominator for c in o.coeffs))
+        ints = _scaled_numerators(o.coeffs, sb)
+        content = int_gcd(*ints)
+        try:
+            quo = _zx_exact_div(_scaled_numerators(self.coeffs, sa), [c // content for c in ints])
+        except DivisibilityError:
+            raise DivisibilityError(f"{self} is not divisible by {other}") from None
+        scale = sa * content
+        return Poly._make([Fraction(c * sb, scale) for c in quo])
 
     # -- calculus and substitution ------------------------------------------
 

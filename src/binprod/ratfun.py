@@ -3,7 +3,11 @@
 A `RatFun` is a rational function num/den kept in a canonical form that makes
 equality a tuple comparison: gcd(num, den) = 1 and den(0) = 1.  The second
 condition both pins the scalar normalization and guarantees the function is a
-power series at the origin.  `Series` is a finite prefix of an expansion.
+power series at the origin.  `Series` is a finite prefix of an expansion;
+`RatFun.expand` runs the denominator's recurrence on num and den cleared
+to Z[x], in Python integers, and makes one `Fraction` per coefficient at
+the end.  A sum, product or quotient takes one gcd to reach canonical form;
+negation and powers take none, because they keep a canonical pair canonical.
 
 `reconstruct_rational` recovers a rational function from enough series
 coefficients and degree bounds, by solving for the denominator first (a
@@ -14,6 +18,8 @@ truncated product.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -23,7 +29,7 @@ from .errors import (
     NotAPowerSeries,
     ReconstructionFailed,
 )
-from .polycore import Poly, Scalar, format_poly, poly_gcd, solve_exact, _fr
+from .polycore import Poly, Scalar, _fr, _scaled_numerators, format_poly, poly_gcd, solve_exact
 
 
 class Series:
@@ -101,17 +107,8 @@ class RatFun:
             raise DivisionByZero("denominator must be nonzero")
         if not den.constant_term:
             raise NotAPowerSeries(f"denominator {den} vanishes at 0")
-        if num.is_zero():
-            self.num = Poly()
-            self.den = Poly.one()
-            return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        c = den.constant_term
-        self.num = num / c
-        self.den = den / c
+        f = RatFun._quotient(num, den)
+        self.num, self.den = f.num, f.den
 
     # -- constructors --------------------------------------------------------
 
@@ -140,8 +137,9 @@ class RatFun:
     def _quotient(num: Poly, den: Poly) -> "RatFun":
         """num/den where den may vanish at 0 before cancellation.
 
-        Reduces by the gcd first, then applies the usual constructor checks,
-        so e.g. x^2 / (x - x^3) is accepted while 1/x still fails.
+        Reduces by the gcd first, then requires den(0) != 0, so e.g.
+        x^2 / (x - x^3) is accepted while 1/x still fails.  This is the one
+        gcd every reduced `RatFun` costs.
         """
         if den.is_zero():
             raise DivisionByZero("division by the zero function")
@@ -150,7 +148,21 @@ class RatFun:
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-        return RatFun(num, den)
+        c = den.constant_term
+        if not c:
+            raise NotAPowerSeries(f"denominator {den} vanishes at 0")
+        if num.is_zero():
+            return RatFun._canonical(num, Poly.one())
+        if c != 1:
+            num, den = num / c, den / c
+        return RatFun._canonical(num, den)
+
+    @staticmethod
+    def _canonical(num: Poly, den: Poly) -> "RatFun":
+        """num/den from a pair that is already canonical: no gcd is taken."""
+        f = object.__new__(RatFun)
+        f.num, f.den = num, den
+        return f
 
     # -- queries --------------------------------------------------------------
 
@@ -194,7 +206,7 @@ class RatFun:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFun(-self.num, self.den)
+        return RatFun._canonical(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -237,7 +249,8 @@ class RatFun:
             if self.is_zero():
                 raise DivisionByZero("0 cannot be raised to a negative power")
             return RatFun._quotient(self.den ** (-k), self.num ** (-k))
-        return RatFun(self.num**k, self.den**k)
+        # powers of a coprime pair stay coprime, and den(0)^k = 1
+        return RatFun._canonical(self.num**k, self.den**k)
 
     def derivative(self) -> "RatFun":
         return RatFun._quotient(
@@ -250,19 +263,38 @@ class RatFun:
     def expand(self, order: int) -> Series:
         """The first ``order`` power series coefficients.
 
-        Uses the linear recurrence c_n = num_n - sum_{j>=1} den_j c_{n-j},
-        valid because den(0) = 1.
+        Runs the linear recurrence c_n = num_n - sum_{j>=1} den_j c_{n-j},
+        valid because den(0) = 1, on integers.  With N = ln*num and
+        D = ld*den cleared of denominators (so D_0 = ld), the integers
+        C_n = ln * ld^n * c_n satisfy
+
+            C_n = N_n ld^n - sum_{j>=1} D_j ld^(j-1) C_{n-j},
+
+        and each c_n becomes one `Fraction` at the end.
+
+        >>> RatFun(Poly([1]), Poly([1, Fraction(-1, 2)])).expand(4).coeffs
+        (Fraction(1, 1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
         """
         if order < 0:
             raise InvalidInput("expansion order must be nonnegative")
-        den = self.den.coeffs
-        out = []
+        num, den = self.num.coeffs[:order], self.den.coeffs
+        ln = lcm(*(c.denominator for c in num))
+        ld = lcm(*(c.denominator for c in den))
+        nums = _scaled_numerators(num, ln)
+        # taps[d - j] = D_j ld^(j-1), so the sum pairs the last k taps with
+        # the last k values of C
+        taps = [c * ld ** (j - 1) for j, c in enumerate(_scaled_numerators(den, ld)) if j][::-1]
+        d = len(taps)
+        ints, dens, power = [], [], 1
         for n in range(order):
-            c = self.num[n]
-            for j in range(1, min(n, self.den.degree) + 1):
-                c -= den[j] * out[n - j]
-            out.append(c)
-        return Series(out)
+            c = nums[n] * power if n < len(nums) else 0
+            k = min(n, d)
+            if k:
+                c -= sum(map(mul, taps[d - k :], ints[n - k :]))
+            ints.append(c)
+            dens.append(ln * power)
+            power *= ld
+        return Series(map(Fraction, ints, dens))
 
     def coefficient(self, n: int) -> Fraction:
         return self.expand(n + 1).coeffs[n]

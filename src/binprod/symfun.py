@@ -16,6 +16,11 @@ both coefficientwise products:
 where the products range over all pairs (alpha_i + beta_j resp.
 alpha_i beta_j).  This gives a second, fully independent route to the
 product denominators computed by resultants in `convolve`.
+
+The two product denominators are the "composed sum" and "composed product"
+of the operand denominators, and computing them through power sums is the
+method of Bostan, Flajolet, Salvy and Schost, "Fast computation of special
+resultants", J. Symbolic Comput. 41 (2006), 1-29.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from binprod import (
+    InternalInvariantViolation,
     InvalidInput,
     NotAPowerSeries,
     ParseError,
@@ -299,6 +300,25 @@ class TestMainCommand:
         monkeypatch.setattr(cli, "run_identity_suite", broken)
         assert main(["verify", "--only", "a"]) == 3
         assert "[FAIL] (a)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "exc",
+        [InternalInvariantViolation("tail is nonzero"), KeyError("lost")],
+        ids=["invariant", "unexpected"],
+    )
+    def test_internal_error_exits_4_with_reproducer(self, capsys, monkeypatch, exc):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "binomial_product", broken)
+        limit = sys.get_int_max_str_digits()
+        assert main(["bprod", "fib", "1/(1 - 2x)"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"internal error: {type(exc).__name__}: {exc}",
+            "reproduce with: binprod bprod fib '1/(1 - 2x)'",
+        ]
+        assert sys.get_int_max_str_digits() == limit
 
     def test_recurrence_human(self, capsys):
         assert main(["recurrence", "fib obprod pell"]) == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import binprod.pfrac as pfrac
 from binprod import (
     CoprimalityViolation,
     DivisionByZero,
@@ -73,6 +74,21 @@ class TestPolyFraction:
         assert 2 * a == a + a
         assert a - 1 == pf([0, 1])
         assert 1 / pf([1, 1]) == pf([1], [1, 1])
+
+    def test_negation_takes_no_gcd(self, monkeypatch):
+        a = pf([2, -1], [3, 0, 1])  # (2 - x)/(3 + x^2), deg den > 0
+        calls = []
+        gcd = pfrac.poly_gcd
+
+        def spy(u, v):
+            calls.append((u, v))
+            return gcd(u, v)
+
+        monkeypatch.setattr(pfrac, "poly_gcd", spy)
+        neg = -a
+        assert calls == []
+        assert (neg.num, neg.den) == (-a.num, a.den)
+        assert neg + a == 0 and pf([-2, 1], [3, 0, 1]) == neg
 
 
 class TestTPoly:

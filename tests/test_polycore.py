@@ -99,6 +99,36 @@ class TestPolyBasics:
             Poly([1, 1]).exact_div(Poly([1, 2]))
         assert (Poly([1, 1]) * Poly([2, 3])).exact_div(Poly([1, 1])) == Poly([2, 3])
 
+    def test_exact_div_matches_divmod_over_q(self):
+        # Poly.exact_div divides in Z[x]; divmod over Fraction is the reference
+        rng = random.Random(61)
+        for _ in range(40):
+            b = rand_rational_poly(rng, rng.randint(0, 3))
+            if b.leading == 1:
+                b = b * Fraction(-3, 2)
+            q = rand_rational_poly(rng, rng.randint(0, 4))
+            a = q * b
+            assert a.exact_div(b) == divmod(a, b)[0] == q
+            assert a.exact_div(b.leading) == divmod(a, b.leading)[0]
+            assert Poly().exact_div(b) == Poly()
+
+    def test_exact_div_by_scalars(self):
+        a = Poly([Fraction(3, 4), -6, Fraction(9, 2)])
+        for c in (3, Fraction(-3, 8), Poly([Fraction(5, 7)])):
+            assert a.exact_div(c) == divmod(a, c)[0]
+        with pytest.raises(ZeroDivisionError):
+            a.exact_div(Poly())
+
+    def test_exact_div_rejects_inexact_rational_pairs(self):
+        rng = random.Random(67)
+        for _ in range(20):
+            b = rand_rational_poly(rng, rng.randint(1, 3))
+            a = rand_rational_poly(rng, rng.randint(0, 5))
+            if divmod(a, b)[1]:
+                with pytest.raises(DivisibilityError) as exc:
+                    a.exact_div(b)
+                assert str(exc.value) == f"{a} is not divisible by {b}"
+
     def test_derivative_and_evaluate(self):
         p = Poly([1, -6, 7, 6, -9])
         assert p.derivative() == Poly([-6, 14, 18, -36])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import binprod.ratfun as ratfun
 from binprod import (
     DivisionByZero,
     InvalidInput,
@@ -129,6 +130,104 @@ class TestExpansion:
     def test_improper_expansion_includes_polynomial_part(self):
         f = RatFun(Poly([0, 0, 0, 1]), Poly([1, -1]))  # x^3/(1-x)
         assert [int(c) for c in f.expand(6).coeffs] == [0, 0, 0, 1, 1, 1]
+
+
+def fraction_expand(f, order):
+    # the recurrence c_n = num_n - sum_{j>=1} den_j c_{n-j} run over Fraction:
+    # the reference for the integer kernel in RatFun.expand
+    den = f.den.coeffs
+    out = []
+    for n in range(order):
+        c = f.num[n]
+        for j in range(1, min(n, f.den.degree) + 1):
+            c -= den[j] * out[n - j]
+        out.append(c)
+    return tuple(out)
+
+
+def rand_fraction(rng, bits=5):
+    return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+
+
+def rand_rational_ratfun(rng, num_deg, den_deg, bits=5):
+    num = Poly([rand_fraction(rng, bits) for _ in range(num_deg + 1)])
+    den = Poly([1] + [rand_fraction(rng, bits) for _ in range(den_deg)])
+    return RatFun(num, den)
+
+
+class TestIntegerExpansion:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rational_coefficients(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(10):
+            f = rand_rational_ratfun(rng, rng.randint(0, 3), rng.randint(1, 4))
+            assert f.expand(25).coeffs == fraction_expand(f, 25)
+
+    def test_improper_numerators(self):
+        rng = random.Random(105)
+        for _ in range(20):
+            den_deg = rng.randint(1, 3)
+            f = rand_rational_ratfun(rng, den_deg + rng.randint(0, 4), den_deg)
+            assert f.expand(15).coeffs == fraction_expand(f, 15)
+
+    def test_constant_denominator(self):
+        rng = random.Random(106)
+        f = RatFun(Poly([rand_fraction(rng) for _ in range(6)]), Poly([Fraction(-3, 7)]))
+        assert f.den == Poly.one()
+        assert f.expand(10).coeffs == fraction_expand(f, 10) == f.num.coeffs + (0,) * 4
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_zero_and_one(self, order):
+        rng = random.Random(107)
+        for _ in range(10):
+            f = rand_rational_ratfun(rng, rng.randint(0, 3), rng.randint(0, 3))
+            assert f.expand(order).coeffs == fraction_expand(f, order)
+        assert RatFun.zero().expand(order).coeffs == (0,) * order
+
+    def test_coefficients_over_2_to_the_200(self):
+        rng = random.Random(108)
+        for _ in range(5):
+            f = rand_rational_ratfun(rng, rng.randint(0, 4), rng.randint(1, 4), bits=210)
+            assert max(abs(c.numerator) for c in f.den.coeffs) > 2**200
+            assert f.expand(12).coeffs == fraction_expand(f, 12)
+
+
+class TestOneGcdPerFraction:
+    @pytest.fixture
+    def gcd_calls(self, monkeypatch):
+        calls = []
+        gcd = ratfun.poly_gcd
+
+        def spy(a, b):
+            calls.append((a, b))
+            return gcd(a, b)
+
+        monkeypatch.setattr(ratfun, "poly_gcd", spy)
+        return calls
+
+    def test_product_takes_one_gcd(self, gcd_calls):
+        rng = random.Random(109)
+        f, g = rand_ratfun(rng, 2, 3), rand_ratfun(rng, 3, 2)
+        gcd_calls.clear()
+        got = f * g
+        assert len(gcd_calls) == 1
+        assert got == RatFun(f.num * g.num, f.den * g.den)
+
+    def test_cancelled_quotient_is_canonical(self, gcd_calls):
+        f = RatFun(Poly([1, 1]), Poly([1, -3]))
+        g = RatFun(Poly([2, -6]), Poly([1, 0, -1]))  # (2 - 6x)/((1 - x)(1 + x))
+        gcd_calls.clear()
+        got = f * g
+        assert len(gcd_calls) == 1
+        assert (got.num, got.den) == (Poly([2]), Poly([1, -1]))
+
+    def test_negation_and_powers_take_no_gcd(self, gcd_calls):
+        f = RatFun(Poly([2, 3]), Poly([1, -1, -1]))
+        gcd_calls.clear()
+        neg, cube, one = -f, f**3, f**0
+        assert gcd_calls == []
+        assert (neg.num, neg.den) == (Poly([-2, -3]), f.den)
+        assert cube == f * f * f and one == RatFun.one()
 
 
 class TestProperSplit:
