@@ -1,15 +1,17 @@
-"""Exact polynomial arithmetic over the rationals: one kernel, three rings.
+"""Exact polynomial arithmetic over the rationals: one kernel, two rings.
 
 The ground field is Q, represented by `fractions.Fraction` (already reduced,
 positive denominator, arbitrary precision).  Dense univariate arithmetic
-(trimmed storage, +, -, *, **, divmod, exact division, monic) is written
-once, in `_DensePoly`, for any coefficient ring; a subclass names only its
-ring, by a zero element and a coefficient coercion.  The three rings are
+(trimmed storage, +, -, *, **, divmod, pseudo-division, exact division,
+monic) is written once, in `_DensePoly`, for any coefficient ring; a
+subclass names only its ring, by a zero element and a coefficient
+coercion.  The two rings are
 
 * `Poly`       Q[x], with calculus, content and formatting on top,
 * `BiPoly`     Q[x][y], polynomials in an auxiliary variable y whose
-               coefficients are `Poly` values in x,
-* `TPoly`      Q(x)[t], in the `pfrac` module,
+               coefficients are `Poly` values in x; the `pfrac` module
+               reads y as its t and runs the subresultant sequence
+               (Collins, J. ACM 14, 1967) on them by pseudo-division,
 
 and `Matrix` holds rectangular grids of `Poly` entries.  On top of them
 this module builds fraction-free (Bareiss) determinants, Sylvester matrices
@@ -165,7 +167,7 @@ class _DensePoly:
         """Schoolbook product, one row per term of the shorter factor.
 
         A one-term factor is a plain scalar multiple, and no coefficient is
-        ever added to a zero, which over Q(x) would cost a gcd.
+        ever added to a zero.
         """
         o = self._lift(other)
         if o is None:
@@ -231,6 +233,38 @@ class _DensePoly:
 
     def __mod__(self, other):
         return divmod(self, other)[1]
+
+    def pseudo_divmod(self, other):
+        """(q, r, e) with lc(other)^e * self = q*other + r and deg r < deg other.
+
+        e = max(deg self - deg other + 1, 0).  Only +, - and * of
+        coefficients are used, so this works over an integral domain such
+        as Z[x] (Knuth, TAOCP 2, 4.6.1, Algorithm R).  Each coefficient is
+        brought up to its power of lc(other) only when the elimination
+        reaches it.
+        """
+        b = other.coeffs
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        n, top = len(b) - 1, len(self.coeffs) - len(b)
+        if top < 0:
+            return self._make([]), self, 0
+        lead = b[-1]
+        powers = [self._coeff(1), lead]
+        for _ in range(top - 1):
+            powers.append(powers[-1] * lead)
+        rem = list(self.coeffs)
+        quo = [self._zero] * (top + 1)
+        for k in range(top, -1, -1):
+            if k < top:
+                rem[k] *= powers[top - k]
+            c = rem[k + n]
+            if c:
+                quo[k] = c * powers[k] if k else c
+                rem[k : k + n] = [lead * d - c * e for d, e in zip(rem[k : k + n], b)]
+            else:
+                rem[k : k + n] = [lead * d for d in rem[k : k + n]]
+        return self._make(quo), self._make(rem[:n]), top + 1
 
     def exact_div(self, other):
         """Quotient self/other, raising DivisibilityError unless it is exact."""
@@ -838,8 +872,3 @@ def solve_exact(rows: Sequence[Sequence], rhs: Sequence, zero):
     """
     return _solve(rows, rhs, zero)[0]
 
-
-def solve_unique(rows: Sequence[Sequence], rhs: Sequence, zero):
-    """The unique solution of rows * v = rhs, or None if singular/inconsistent."""
-    sol, rank = _solve(rows, rhs, zero)
-    return sol if sol is not None and rank == len(sol) else None

@@ -24,7 +24,7 @@ from binprod import (
     series_binomial,
     series_hadamard,
 )
-from binprod import convolve, polycore, symfun
+from binprod import convolve, polycore, ratfun, symfun
 from binprod.ratfun import Series
 
 
@@ -429,3 +429,25 @@ class TestRouteIndependence:
             for method in others:
                 assert binomial_product(a, b, method=method) == b_want
                 assert hadamard_product(a, b, method=method) == h_want
+
+    def test_pfrac_runs_on_its_own_sequence(self, monkeypatch):
+        # the remainder sequence shares nothing with the Sylvester, Bareiss,
+        # Newton or linear-algebra code of the other three routes
+        want = [(binomial_product(a, b), hadamard_product(a, b)) for a, b in self.PAIRS]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("pfrac called another route's code")
+
+        for module, name in [
+            (polycore, "det_fraction_free"),
+            (polycore, "resultant"),
+            (polycore, "sylvester"),
+            (polycore, "_zx_cross"),
+            (convolve, "resultant"),
+            (symfun, "denominator_via_symfun"),
+            (ratfun, "reconstruct_rational"),
+        ]:
+            monkeypatch.setattr(module, name, broken)
+        for (a, b), (b_want, h_want) in zip(self.PAIRS, want):
+            assert binomial_product(a, b, method="pfrac") == b_want
+            assert hadamard_product(a, b, method="pfrac") == h_want
