@@ -13,6 +13,7 @@ returns the identical AST, so the printed form is canonical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import shlex
@@ -599,7 +600,12 @@ def _cmd_sequences(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on first use and shared by later calls.
+
+    It holds no handlers: `main` looks up ``_cmd_<command>`` at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="binprod",
         description="Exact binomial (obprod) and Hadamard (hprod) products of rational power series.",
@@ -609,13 +615,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an expression to a rational function")
     p.add_argument("expr")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("coeffs", help="print the first N series coefficients")
     p.add_argument("expr")
     p.add_argument("-n", "--terms", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_coeffs)
 
     for name, help_text in (
         ("bprod", "binomial product of two expressions"),
@@ -627,43 +631,40 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--method", choices=METHODS, default="resultant")
         p.add_argument("--cross-check", action="store_true")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(handler=_cmd_bprod if name == "bprod" else _cmd_hprod)
 
     p = sub.add_parser("denominator", help="product denominator from the two input denominators")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--kind", choices=("binomial", "hadamard"), required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_denominator)
 
     p = sub.add_parser("reconstruct", help="fit a rational function to series coefficients")
     p.add_argument("--coeffs", required=True, metavar="FILE")
     p.add_argument("--den-deg", type=int, required=True)
     p.add_argument("--num-deg", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the identity suite")
     p.add_argument("--only", help="comma-separated identity ids or slugs")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("recurrence", help="linear recurrence satisfied by the coefficients")
     p.add_argument("expr")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_recurrence)
 
     p = sub.add_parser("sequences", help="list the named sequences")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_sequences)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code.
+
+    The argument parser is built once per process, on the first call.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
@@ -672,7 +673,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.handler(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

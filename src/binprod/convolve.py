@@ -20,14 +20,16 @@ by several independent methods:
 
 The methods share no denominator logic, so agreement between them is a real
 cross-check; `--cross-check` on the command line and several tests rely on
-that.  All arithmetic is exact.
+that.  All arithmetic is exact.  The binomial convolution `series_binomial`
+runs in Z: each operand series is cleared of denominators once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add, mul
 from typing import Callable, Tuple
 
 from . import symfun
@@ -45,6 +47,7 @@ from .polycore import (
     sub_one_minus_y,
     sub_x_over_y,
     _fr,
+    _scaled_numerators,
 )
 from .ratfun import RatFun, Series, _recover_numerator
 
@@ -55,23 +58,27 @@ METHODS = ("resultant", "symfun", "pfrac", "reconstruct")
 # series-level products (also the engine's numerator-recovery kernel)
 
 
-def binomial_coefficients(rows: int):
-    """Pascal's triangle with ``rows`` rows, as exact integers."""
-    out = [[1]]
-    for n in range(1, rows):
-        prev = out[-1]
-        out.append([1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1])
-    return out
-
-
 def series_binomial(a: Series, b: Series) -> Series:
-    """Termwise binomial convolution c_n = sum_k C(n,k) a_k b_{n-k}."""
+    """Termwise binomial convolution c_n = sum_k C(n,k) a_k b_{n-k}.
+
+    Runs on integers: with A = la*a and B = lb*b cleared of denominators,
+    la*lb*c_n is one dot product of the n-th Pascal row with the products
+    A_k B_{n-k}, and each c_n becomes one `Fraction` at the end.
+
+    >>> series_binomial(Series([1, 1, 1]), Series([1, Fraction(1, 2), Fraction(1, 4)])).coeffs
+    (Fraction(1, 1), Fraction(3, 2), Fraction(9, 4))
+    """
     order = min(a.order, b.order)
-    binom = binomial_coefficients(order)
-    out = []
+    xa, xb = a.coeffs[:order], b.coeffs[:order]
+    la, lb = lcm(*(c.denominator for c in xa)), lcm(*(c.denominator for c in xb))
+    ints_a = _scaled_numerators(xa, la)
+    # reversed, so the last n+1 entries are B_n, ..., B_0
+    rev_b = _scaled_numerators(xb, lb)[::-1]
+    out, row = [], [1]
     for n in range(order):
-        row = binom[n]
-        out.append(sum((row[k] * a.coeffs[k] * b.coeffs[n - k] for k in range(n + 1)), Fraction(0)))
+        terms = map(mul, ints_a[: n + 1], rev_b[order - 1 - n :])
+        out.append(Fraction(sum(map(mul, row, terms)), la * lb))
+        row = [1, *map(add, row, row[1:]), 1]
     return Series(out)
 
 

@@ -351,17 +351,96 @@ class TestMainCommand:
             assert f"{name}:" in out
 
 
-def test_module_entry_point():
-    # the child must import the same binprod as this process, also when
+def run_in_process(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def child_env():
+    # a child process must import the same binprod as this one, also when
     # pytest put src/ on sys.path itself rather than through PYTHONPATH
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_fresh(argv, setup=""):
+    # main(argv) in a new process, whose first call builds the parser anew;
+    # setup runs before that call
+    script = f"import sys\nimport binprod.cli as cli\n{setup}\nsys.exit(cli.main(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=60, env=child_env()
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    """main keeps one parser per process; no call leaks state into the next."""
+
+    def test_parser_is_built_once(self, capsys):
+        main(["sequences"])
+        first = cli.build_parser()
+        main(["eval", "fib"])
+        assert cli.build_parser() is first
+        capsys.readouterr()
+
+    def test_json_flag_does_not_stick(self, capsys):
+        first = run_in_process(capsys, ["bprod", "fib", "pell", "--json"])
+        second = run_in_process(capsys, ["bprod", "fib", "pell"])
+        assert json.loads(first[1])["den"] == ["1", "-6", "7", "6", "-9"]
+        assert second[1].startswith("(") and not second[1].startswith("{")
+        assert first == run_fresh(["bprod", "fib", "pell", "--json"])
+        assert second == run_fresh(["bprod", "fib", "pell"])
+
+    def test_method_falls_back_to_the_default(self, capsys, monkeypatch):
+        methods = []
+
+        def spy(a, b, method):
+            methods.append(method)
+            return hadamard_product(a, b, method=method)
+
+        monkeypatch.setattr(cli, "hadamard_product", spy)
+        first = run_in_process(capsys, ["hprod", "fib", "pell", "--method", "symfun"])
+        second = run_in_process(capsys, ["hprod", "fib", "pell"])
+        assert methods == ["symfun", "resultant"]
+        assert first == run_fresh(["hprod", "fib", "pell", "--method", "symfun"])
+        assert second == run_fresh(["hprod", "fib", "pell"])
+
+    def test_bad_argv_then_good(self, capsys):
+        bad = run_in_process(capsys, ["bprod", "fib"])
+        good = run_in_process(capsys, ["bprod", "fib", "pell"])
+        assert (bad[0], good[0]) == (2, 0)
+        assert bad == run_fresh(["bprod", "fib"])
+        assert good == run_fresh(["bprod", "fib", "pell"])
+
+    def test_patch_after_an_earlier_call_takes_effect(self, capsys, monkeypatch):
+        argv = ["bprod", "fib", "1/(1 - 2x)"]
+        assert run_in_process(capsys, argv)[0] == 0
+
+        def broken(*args, **kwargs):
+            raise KeyError("lost")
+
+        monkeypatch.setattr(cli, "binomial_product", broken)
+        patched = run_in_process(capsys, argv)
+        assert patched[0] == 4
+        setup = "def broken(*a, **k):\n    raise KeyError('lost')\ncli.binomial_product = broken"
+        assert patched == run_fresh(argv, setup)
+
+    def test_handlers_are_looked_up_per_call(self, capsys, monkeypatch):
+        main(["sequences"])
+        monkeypatch.setattr(cli, "_cmd_sequences", lambda args: 7)
+        assert main(["sequences"]) == 7
+        capsys.readouterr()
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "binprod", "eval", "fib"],
         capture_output=True,
         text=True,
         timeout=60,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(x) / (1 - x - x^2)"

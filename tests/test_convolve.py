@@ -70,6 +70,81 @@ class TestSeriesKernels:
         assert series_hadamard(a, b).coeffs == (Fraction(5), Fraction(14), Fraction(33))
 
 
+def fraction_binomial(a: Series, b: Series):
+    # the convolution run over Fraction: the reference for the integer
+    # kernel in series_binomial
+    order = min(a.order, b.order)
+    return tuple(
+        sum((math.comb(n, k) * a.coeffs[k] * b.coeffs[n - k] for k in range(n + 1)), Fraction(0))
+        for n in range(order)
+    )
+
+
+def rand_series(rng, order, bits=5, zero_share=0.0):
+    return Series(
+        Fraction(0) if rng.random() < zero_share
+        else Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 2**bits))
+        for _ in range(order)
+    )
+
+
+class TestIntegerConvolution:
+    """series_binomial on Z against the Fraction loop it replaced."""
+
+    def check(self, a, b):
+        got = series_binomial(a, b).coeffs
+        assert got == fraction_binomial(a, b)
+        assert all(type(c) is Fraction for c in got)
+
+    def test_unequal_denominators(self):
+        rng = random.Random(300)
+        for _ in range(10):
+            a, b = rand_series(rng, 20), rand_series(rng, 20)
+            lcms = [math.lcm(*(c.denominator for c in s.coeffs)) for s in (a, b)]
+            assert lcms[0] != lcms[1] and min(lcms) > 1
+            self.check(a, b)
+
+    def test_coefficients_over_2_to_the_200(self):
+        rng = random.Random(301)
+        for _ in range(5):
+            a, b = rand_series(rng, 15, bits=210), rand_series(rng, 15, bits=210)
+            assert max(abs(c.numerator) for c in a.coeffs + b.coeffs) > 2**200
+            self.check(a, b)
+        huge = Series([3**150 + k for k in range(12)])
+        self.check(huge, rand_series(rng, 12))
+
+    def test_zero_runs(self):
+        rng = random.Random(302)
+        for _ in range(10):
+            self.check(rand_series(rng, 18, zero_share=0.6), rand_series(rng, 18, zero_share=0.6))
+        zeros = Series([0] * 10)
+        spike = Series([0] * 5 + [Fraction(7, 3)] + [0] * 4)
+        self.check(zeros, rand_series(rng, 10))
+        self.check(spike, spike)
+        assert series_binomial(zeros, spike).coeffs == (0,) * 10
+
+    def test_unequal_orders(self):
+        rng = random.Random(303)
+        for la, lb in ((3, 17), (17, 3), (1, 9), (12, 11)):
+            a, b = rand_series(rng, la), rand_series(rng, lb)
+            assert series_binomial(a, b).order == min(la, lb)
+            self.check(a, b)
+            self.check(b, a)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_orders_zero_and_one(self, order):
+        rng = random.Random(304 + order)
+        for _ in range(5):
+            self.check(rand_series(rng, order), rand_series(rng, order + rng.randint(0, 3)))
+        assert series_binomial(Series(), Series([1, 2])).coeffs == ()
+
+    def test_expansions_of_rational_functions(self):
+        rng = random.Random(306)
+        for _ in range(10):
+            a, b = rand_any(rng) / rng.randint(1, 9), rand_proper(rng) / rng.randint(1, 9)
+            self.check(a.expand(25), b.expand(25))
+
+
 class TestDenominators:
     def test_linear_times_linear(self):
         assert binomial_denominator(Poly([1, -2]), Poly([1, -3])) == Poly([1, -5])
