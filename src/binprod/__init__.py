@@ -41,16 +41,7 @@ from .ratfun import (
     format_ratfun,
     reconstruct_rational,
 )
-from .symfun import (
-    PowerSums,
-    denominator_from_elementary,
-    denominator_via_symfun,
-    elementary_from_denominator,
-    elementary_to_power,
-    power_to_elementary,
-    powersum_binomial,
-    powersum_hadamard,
-)
+from .symfun import denominator_via_symfun
 from .convolve import (
     METHODS,
     ProductPlan,
@@ -118,14 +109,7 @@ __all__ = [
     "Series",
     "format_ratfun",
     "reconstruct_rational",
-    "PowerSums",
-    "denominator_from_elementary",
     "denominator_via_symfun",
-    "elementary_from_denominator",
-    "elementary_to_power",
-    "power_to_elementary",
-    "powersum_binomial",
-    "powersum_hadamard",
     "METHODS",
     "ProductPlan",
     "binomial_denominator",

@@ -11,8 +11,8 @@ by several independent methods:
 * "resultant"    the product denominator prod(1 - (alpha_i + beta_j) x) or
                  prod(1 - alpha_i beta_j x) as a single resultant, then the
                  numerator from a truncated series product;
-* "symfun"       the same pipeline with the denominator from Newton's
-                 identities (`symfun.denominator_via_symfun`);
+* "symfun"       the same pipeline with the denominator from power sums
+                 and Newton's identities (`symfun.denominator_via_symfun`);
 * "pfrac"        constant-term extraction in an auxiliary variable
                  (`pfrac` module);
 * "reconstruct"  expand far enough and fit a rational function with exact
@@ -20,16 +20,16 @@ by several independent methods:
 
 The methods share no denominator logic, so agreement between them is a real
 cross-check; `--cross-check` on the command line and several tests rely on
-that.  All arithmetic is exact.  The binomial convolution `series_binomial`
-runs in Z: each operand series is cleared of denominators once.
+that.  All arithmetic is exact.  The series kernels `series_binomial` and
+`series_hadamard` live in `ratfun`, beside `Series`; symfun combines power
+sums with them too, since they are not denominator code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
-from operator import add, mul
+from math import comb
 from typing import Callable, Tuple
 
 from . import symfun
@@ -47,45 +47,10 @@ from .polycore import (
     sub_one_minus_y,
     sub_x_over_y,
     _fr,
-    _scaled_numerators,
 )
-from .ratfun import RatFun, Series, _recover_numerator
+from .ratfun import RatFun, _recover_numerator, series_binomial, series_hadamard
 
 METHODS = ("resultant", "symfun", "pfrac", "reconstruct")
-
-
-# ---------------------------------------------------------------------------
-# series-level products (also the engine's numerator-recovery kernel)
-
-
-def series_binomial(a: Series, b: Series) -> Series:
-    """Termwise binomial convolution c_n = sum_k C(n,k) a_k b_{n-k}.
-
-    Runs on integers: with A = la*a and B = lb*b cleared of denominators,
-    la*lb*c_n is one dot product of the n-th Pascal row with the products
-    A_k B_{n-k}, and each c_n becomes one `Fraction` at the end.
-
-    >>> series_binomial(Series([1, 1, 1]), Series([1, Fraction(1, 2), Fraction(1, 4)])).coeffs
-    (Fraction(1, 1), Fraction(3, 2), Fraction(9, 4))
-    """
-    order = min(a.order, b.order)
-    xa, xb = a.coeffs[:order], b.coeffs[:order]
-    la, lb = lcm(*(c.denominator for c in xa)), lcm(*(c.denominator for c in xb))
-    ints_a = _scaled_numerators(xa, la)
-    # reversed, so the last n+1 entries are B_n, ..., B_0
-    rev_b = _scaled_numerators(xb, lb)[::-1]
-    out, row = [], [1]
-    for n in range(order):
-        terms = map(mul, ints_a[: n + 1], rev_b[order - 1 - n :])
-        out.append(Fraction(sum(map(mul, row, terms)), la * lb))
-        row = [1, *map(add, row, row[1:]), 1]
-    return Series(out)
-
-
-def series_hadamard(a: Series, b: Series) -> Series:
-    """Termwise product c_n = a_n b_n."""
-    order = min(a.order, b.order)
-    return Series([a.coeffs[n] * b.coeffs[n] for n in range(order)])
 
 
 # ---------------------------------------------------------------------------

@@ -395,28 +395,6 @@ class Poly(_DensePoly):
             return self
         return Poly._make([Fraction(0)] * k + list(self.coeffs))
 
-    def content(self) -> Fraction:
-        """Rational content: gcd of numerators over lcm of denominators.
-
-        Carries the sign of the leading coefficient, so ``primitive()`` always
-        has a positive leading coefficient.  The content of zero is zero.
-        """
-        if self.is_zero():
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = int_gcd(num, c.numerator)
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        c = Fraction(num, den)
-        return -c if self.leading < 0 else c
-
-    def primitive(self) -> "Poly":
-        """self divided by its content: coprime integer coefficients, positive lead."""
-        if self.is_zero():
-            return self
-        return self / self.content()
-
     # -- formatting ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -851,24 +829,19 @@ def _row_reduce(rows: Sequence[Sequence], rhs: Sequence, zero):
     return aug, pivots, consistent
 
 
-def _solve(rows: Sequence[Sequence], rhs: Sequence, zero):
-    """(a solution with free variables zero, or None if inconsistent; rank)."""
-    if len(rows) != len(rhs):
-        raise InvalidInput("matrix and right-hand side sizes differ")
-    aug, pivots, consistent = _row_reduce(rows, rhs, zero)
-    if not consistent:
-        return None, len(pivots)
-    sol = [zero] * (len(rows[0]) if rows else 0)
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][-1]
-    return sol, len(pivots)
-
-
 def solve_exact(rows: Sequence[Sequence], rhs: Sequence, zero):
     """One exact solution of rows * v = rhs, or None if inconsistent.
 
     Free variables are set to zero.  Works over Fraction or any field type
     with the same operator protocol.
     """
-    return _solve(rows, rhs, zero)[0]
+    if len(rows) != len(rhs):
+        raise InvalidInput("matrix and right-hand side sizes differ")
+    aug, pivots, consistent = _row_reduce(rows, rhs, zero)
+    if not consistent:
+        return None
+    sol = [zero] * (len(rows[0]) if rows else 0)
+    for i, col in enumerate(pivots):
+        sol[col] = aug[i][-1]
+    return sol
 

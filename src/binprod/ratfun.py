@@ -6,7 +6,8 @@ condition both pins the scalar normalization and guarantees the function is a
 power series at the origin.  `Series` is a finite prefix of an expansion;
 `RatFun.expand` runs the denominator's recurrence on num and den cleared
 to Z[x], in Python integers, and makes one `Fraction` per coefficient at
-the end.  A sum, product or quotient takes one gcd to reach canonical form;
+the end.  The two series kernels, `series_binomial` (in Z) and
+`series_hadamard`, combine two prefixes coefficientwise.  A sum, product or quotient takes one gcd to reach canonical form;
 negation and powers take none, because they keep a canonical pair canonical.
 
 `reconstruct_rational` recovers a rational function from enough series
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -68,15 +69,40 @@ class Series:
     def __hash__(self):
         return hash(("Series", self.coeffs))
 
-    def truncate(self, order: int) -> "Series":
-        if order > len(self.coeffs):
-            raise InvalidInput("cannot extend a series by truncation")
-        return Series(self.coeffs[:order])
-
     def __repr__(self) -> str:
         shown = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if len(self.coeffs) > 8 else ""
         return f"Series([{shown}{tail}], order={len(self.coeffs)})"
+
+
+def series_binomial(a: Series, b: Series) -> Series:
+    """Termwise binomial convolution c_n = sum_k C(n,k) a_k b_{n-k}.
+
+    Runs on integers: with A = la*a and B = lb*b cleared of denominators,
+    la*lb*c_n is one dot product of the n-th Pascal row with the products
+    A_k B_{n-k}, and each c_n becomes one `Fraction` at the end.
+
+    >>> series_binomial(Series([1, 1, 1]), Series([1, Fraction(1, 2), Fraction(1, 4)])).coeffs
+    (Fraction(1, 1), Fraction(3, 2), Fraction(9, 4))
+    """
+    order = min(a.order, b.order)
+    xa, xb = a.coeffs[:order], b.coeffs[:order]
+    la, lb = lcm(*(c.denominator for c in xa)), lcm(*(c.denominator for c in xb))
+    ints_a = _scaled_numerators(xa, la)
+    # reversed, so the last n+1 entries are B_n, ..., B_0
+    rev_b = _scaled_numerators(xb, lb)[::-1]
+    out, row = [], [1]
+    for n in range(order):
+        terms = map(mul, ints_a[: n + 1], rev_b[order - 1 - n :])
+        out.append(Fraction(sum(map(mul, row, terms)), la * lb))
+        row = [1, *map(add, row, row[1:]), 1]
+    return Series(out)
+
+
+def series_hadamard(a: Series, b: Series) -> Series:
+    """Termwise product c_n = a_n b_n."""
+    order = min(a.order, b.order)
+    return Series([a.coeffs[n] * b.coeffs[n] for n in range(order)])
 
 
 class RatFun:

@@ -25,20 +25,18 @@ from binprod import (
     closed_form_bprod,
     closed_form_hprod,
     det_fraction_free,
-    elementary_from_denominator,
-    elementary_to_power,
     hadamard_product,
     identity_ids,
-    power_to_elementary,
-    powersum_binomial,
-    powersum_hadamard,
     reconstruct_rational,
     run_identity_suite,
+    series_binomial,
+    series_hadamard,
     sub_one_minus_y,
     sub_x_over_y,
     sylvester,
 )
 from binprod.cli import main
+from binprod.symfun import denominator_from_power_sums, power_sums
 
 
 def announce(n: int, text: str) -> None:
@@ -129,20 +127,24 @@ def test_criterion_03():
 
 def test_criterion_04():
     """Eight-row symmetric-function table for 1-x-x^2 and 1-2x-x^2, n = 0..4."""
-    ea = elementary_from_denominator(Poly([1, -1, -1]))
-    eb = elementary_from_denominator(Poly([1, -2, -1]))
-    assert ea == [1, 1, -1]
-    assert eb == [1, 2, -1]
-    pa = elementary_to_power(ea, 4)
-    pb = elementary_to_power(eb, 4)
-    assert pa.values == (2, 1, 3, 4, 7)
-    assert pb.values == (2, 2, 6, 14, 34)
-    star = powersum_hadamard(pa, pb, 4)
-    circ = powersum_binomial(pa, pb, 4)
-    assert star.values == (4, 2, 18, 56, 238)
-    assert circ.values == (4, 6, 22, 72, 278)
-    assert power_to_elementary(star, 4) == [1, 2, -7, 2, 1]
-    assert power_to_elementary(circ, 4) == [1, 6, 7, -6, -9]
+
+    def elementary(den):
+        # e_k = (-1)^k [x^k] den for den = prod(1 - alpha_i x)
+        return [c if k % 2 == 0 else -c for k, c in enumerate(den.coeffs)]
+
+    ua, vb = Poly([1, -1, -1]), Poly([1, -2, -1])
+    assert elementary(ua) == [1, 1, -1]
+    assert elementary(vb) == [1, 2, -1]
+    pa = power_sums(ua, 4)
+    pb = power_sums(vb, 4)
+    assert pa.coeffs == (2, 1, 3, 4, 7)
+    assert pb.coeffs == (2, 2, 6, 14, 34)
+    star = series_hadamard(pa, pb)
+    circ = series_binomial(pa, pb)
+    assert star.coeffs == (4, 2, 18, 56, 238)
+    assert circ.coeffs == (4, 6, 22, 72, 278)
+    assert elementary(denominator_from_power_sums(star)) == [1, 2, -7, 2, 1]
+    assert elementary(denominator_from_power_sums(circ)) == [1, 6, 7, -6, -9]
     announce(4, "all eight power-sum/elementary rows match the printed table, n = 0..4")
 
 

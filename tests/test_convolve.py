@@ -24,7 +24,7 @@ from binprod import (
     series_binomial,
     series_hadamard,
 )
-from binprod import convolve, polycore, ratfun, symfun
+from binprod import convolve, pfrac, polycore, ratfun, symfun
 from binprod.ratfun import Series
 
 
@@ -483,6 +483,8 @@ class TestRouteIndependence:
                 ("pfrac", "reconstruct", "symfun"),
             ),
             ("symfun", [(symfun, "denominator_via_symfun")], ("resultant", "pfrac", "reconstruct")),
+            ("pfrac", [(pfrac, "tpoly_xgcd")], ("resultant", "symfun", "reconstruct")),
+            ("reconstruct", [(ratfun, "reconstruct_rational")], ("resultant", "symfun", "pfrac")),
         ],
     )
     def test_other_routes_survive_a_broken_route(self, monkeypatch, blocked, entry_points, others):

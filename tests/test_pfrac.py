@@ -269,7 +269,7 @@ class TestEngines:
 
 
 # ---------------------------------------------------------------------------
-# differential guard: pfrac against the resultant route and the series
+# differential guard: pfrac and symfun against the resultant route and the series
 
 
 def _scalar(rng, rational):
@@ -336,7 +336,8 @@ def check_against_oracles(a, b):
     for kind, product in (("binomial", binomial_product), ("hadamard", hadamard_product)):
         got = product(a, b, method="pfrac")
         assert got == product(a, b, method="resultant")
-        # and, independently of both routes, the brute-force series of the
+        assert product(a, b, method="symfun") == got
+        # and, independently of every route, the brute-force series of the
         # operands, to twice the size of the answer
         order = 2 * (got.num.degree + got.den.degree) + 4
         assert got.expand(order).coeffs == brute(kind, a, b, order)

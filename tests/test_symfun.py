@@ -8,17 +8,14 @@ import pytest
 from binprod import (
     InvalidInput,
     Poly,
-    PowerSums,
     binomial_denominator,
-    denominator_from_elementary,
     denominator_via_symfun,
-    elementary_from_denominator,
-    elementary_to_power,
     hadamard_denominator,
-    power_to_elementary,
-    powersum_binomial,
-    powersum_hadamard,
+    series_binomial,
+    series_hadamard,
 )
+from binprod.ratfun import Series
+from binprod.symfun import denominator_from_power_sums, power_sums
 
 
 def rand_den(rng, deg):
@@ -28,77 +25,72 @@ def rand_den(rng, deg):
     return Poly(coeffs)
 
 
+def elementary(den):
+    """e_k = (-1)^k [x^k] den for den = prod(1 - alpha_i x)."""
+    return [c if k % 2 == 0 else -c for k, c in enumerate(den.coeffs)]
+
+
 class TestNewtonConversion:
     def test_triple_root_power_sums(self):
         # (1-x)^3 has reciprocal root 1 three times, so every p_k = 3
-        e = elementary_from_denominator(Poly([1, -1]) ** 3)
-        p = elementary_to_power(e, 6)
-        assert p.values == tuple(Fraction(3) for _ in range(7))
+        p = power_sums(Poly([1, -1]) ** 3, 6)
+        assert p.coeffs == tuple(Fraction(3) for _ in range(7))
 
     def test_two_distinct_roots(self):
         # (1-2x)(1-3x): p_k = 2^k + 3^k
-        e = elementary_from_denominator(Poly([1, -2]) * Poly([1, -3]))
-        p = elementary_to_power(e, 5)
-        assert p.values == tuple(Fraction(2**k + 3**k) for k in range(6))
-        assert p.values[0] == 2
+        p = power_sums(Poly([1, -2]) * Poly([1, -3]), 5)
+        assert p.coeffs == tuple(Fraction(2**k + 3**k) for k in range(6))
+        assert p[0] == 2
 
     def test_round_trip(self):
         rng = random.Random(3)
         for _ in range(25):
             den = rand_den(rng, rng.randint(1, 5))
-            e = elementary_from_denominator(den)
-            p = elementary_to_power(e, den.degree)
-            back = power_to_elementary(p, den.degree)
-            assert back == e
-            assert denominator_from_elementary(back) == den
+            p = power_sums(den, den.degree)
+            assert denominator_from_power_sums(p) == den
 
     def test_elementary_beyond_root_count_vanish(self):
-        e = elementary_from_denominator(Poly([1, -1, -1]))
-        p = elementary_to_power(e, 6)
-        tail = power_to_elementary(p, 6)[3:]
-        assert all(v == 0 for v in tail)
+        # Newton's identities on p_0..p_6 of two roots: d_3..d_6 are zero
+        den = Poly([1, -1, -1])
+        assert denominator_from_power_sums(power_sums(den, 6)) == den
 
     def test_requires_unit_e0(self):
         with pytest.raises(InvalidInput):
-            elementary_to_power([2, 1], 3)
+            power_sums(Poly([2, 1]), 3)
 
 
 class TestCombinedPowerSums:
     def test_hadamard_is_termwise(self):
-        pa = PowerSums([2, 1, 3, 4, 7])
-        pb = PowerSums([2, 2, 6, 14, 34])
-        assert powersum_hadamard(pa, pb, 4).values == (4, 2, 18, 56, 238)
+        pa = Series([2, 1, 3, 4, 7])
+        pb = Series([2, 2, 6, 14, 34])
+        assert series_hadamard(pa, pb).coeffs == (4, 2, 18, 56, 238)
 
     def test_binomial_is_convolution(self):
-        pa = PowerSums([2, 1, 3, 4, 7])
-        pb = PowerSums([2, 2, 6, 14, 34])
-        assert powersum_binomial(pa, pb, 4).values == (4, 6, 22, 72, 278)
-
-    def test_insufficient_data_rejected(self):
-        pa = PowerSums([2, 1])
-        with pytest.raises(InvalidInput):
-            powersum_binomial(pa, pa, 3)
+        pa = Series([2, 1, 3, 4, 7])
+        pb = Series([2, 2, 6, 14, 34])
+        assert series_binomial(pa, pb).coeffs == (4, 6, 22, 72, 278)
 
 
 class TestWorkedTable:
-    """The full second-order example: alpha from 1-x-x^2, beta from 1-2x-x^2."""
+    """The full second-order example: alpha from 1-x-x^2, beta from 1-2x-x^2.
+
+    The e_k rows of the table are (-1)^k times the denominator coefficients.
+    """
 
     def test_all_eight_rows(self):
         ua, vb = Poly([1, -1, -1]), Poly([1, -2, -1])
-        ea = elementary_from_denominator(ua)
-        eb = elementary_from_denominator(vb)
-        assert ea == [1, 1, -1]
-        assert eb == [1, 2, -1]
-        pa = elementary_to_power(ea, 4)
-        pb = elementary_to_power(eb, 4)
-        assert pa.values == (2, 1, 3, 4, 7)
-        assert pb.values == (2, 2, 6, 14, 34)
-        star = powersum_hadamard(pa, pb, 4)
-        circ = powersum_binomial(pa, pb, 4)
-        assert star.values == (4, 2, 18, 56, 238)
-        assert circ.values == (4, 6, 22, 72, 278)
-        assert power_to_elementary(star, 4) == [1, 2, -7, 2, 1]
-        assert power_to_elementary(circ, 4) == [1, 6, 7, -6, -9]
+        assert elementary(ua) == [1, 1, -1]
+        assert elementary(vb) == [1, 2, -1]
+        pa = power_sums(ua, 4)
+        pb = power_sums(vb, 4)
+        assert pa.coeffs == (2, 1, 3, 4, 7)
+        assert pb.coeffs == (2, 2, 6, 14, 34)
+        star = series_hadamard(pa, pb)
+        circ = series_binomial(pa, pb)
+        assert star.coeffs == (4, 2, 18, 56, 238)
+        assert circ.coeffs == (4, 6, 22, 72, 278)
+        assert elementary(denominator_from_power_sums(star)) == [1, 2, -7, 2, 1]
+        assert elementary(denominator_from_power_sums(circ)) == [1, 6, 7, -6, -9]
 
     def test_denominators_assembled(self):
         ua, vb = Poly([1, -1, -1]), Poly([1, -2, -1])
