@@ -46,12 +46,10 @@ from .convolve import (
     METHODS,
     ProductPlan,
     binomial_denominator,
-    binomial_from_proper_core,
     binomial_product,
     closed_form_bprod,
     closed_form_hprod,
     hadamard_denominator,
-    hadamard_from_proper_core,
     hadamard_product,
     komatsu_decompose,
     plan_binomial,
@@ -113,12 +111,10 @@ __all__ = [
     "METHODS",
     "ProductPlan",
     "binomial_denominator",
-    "binomial_from_proper_core",
     "binomial_product",
     "closed_form_bprod",
     "closed_form_hprod",
     "hadamard_denominator",
-    "hadamard_from_proper_core",
     "hadamard_product",
     "komatsu_decompose",
     "plan_binomial",

@@ -18,6 +18,12 @@ by several independent methods:
 * "reconstruct"  expand far enough and fit a rational function with exact
                  linear algebra (`ratfun.reconstruct_rational`).
 
+Every operand may be improper.  Both products are a numerator over a
+denominator bound, and one degree-bound function per product
+(`_binomial_bounds`, `_hadamard_bounds`) serves the resultant, symfun and
+reconstruct routes alike.  Only pfrac splits off polynomial parts, because
+its constant-term split needs proper operands.
+
 The methods share no denominator logic, so agreement between them is a real
 cross-check; `--cross-check` on the command line and several tests rely on
 that.  All arithmetic is exact.  The series kernels `series_binomial` and
@@ -118,7 +124,6 @@ class ProductPlan:
     deg(T) <= num_deg_bound; reduction to lowest terms happens afterwards.
     """
 
-    method: str
     den_bound: Poly
     num_deg_bound: int
 
@@ -146,8 +151,7 @@ def plan_binomial(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPla
         raise InvalidInput("plans are for nonzero operands")
     u, v, _, num_deg = _binomial_bounds(a, b)
     cross = _cross_denominator(method, "binomial")
-    den = a.den**v * b.den**u * cross(a.den, b.den)
-    return ProductPlan(method, den, num_deg)
+    return ProductPlan(a.den**v * b.den**u * cross(a.den, b.den), num_deg)
 
 
 def _binomial_bounds(a: RatFun, b: RatFun) -> Tuple[int, int, int, int]:
@@ -159,14 +163,36 @@ def _binomial_bounds(a: RatFun, b: RatFun) -> Tuple[int, int, int, int]:
 
 
 def plan_hadamard(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPlan:
-    """Denominator and numerator bounds for a Hadamard product of proper inputs."""
+    """Denominator and numerator-degree bounds for a Hadamard product.
+
+    The denominator is prod(1 - alpha_i beta_j x), of degree m*n, and
+    `_hadamard_bounds` gives the numerator bound, so improper operands need
+    no polynomial split here either.
+
+    >>> a = RatFun(Poly([1, 0, 0, 2]), Poly([1, -1]))  # improper: degree 3 over 1
+    >>> b = RatFun(Poly.x(), Poly([1, -1, -1]))
+    >>> plan = plan_hadamard(a, b)
+    >>> print(plan.den_bound, plan.num_deg_bound)
+    1 - x - x^2 4
+    """
     if a.is_zero() or b.is_zero():
         raise InvalidInput("plans are for nonzero operands")
-    if not (a.is_proper() and b.is_proper()):
-        raise InvalidInput("hadamard plans require proper operands")
-    m, n = a.den.degree, b.den.degree
+    _, num_deg = _hadamard_bounds(a, b)
     cross = _cross_denominator(method, "hadamard")
-    return ProductPlan(method, cross(a.den, b.den), m * n - 1)
+    return ProductPlan(cross(a.den, b.den), num_deg)
+
+
+def _hadamard_bounds(a: RatFun, b: RatFun) -> Tuple[int, int]:
+    """The denominator and numerator degree bounds of `plan_hadamard`.
+
+    With P = max(deg a.num - m, deg b.num - n, -1), the largest degree of a
+    polynomial part, a_n b_n is the coefficient of the product of the proper
+    parts for every n > P.  That product has a numerator of degree below m*n,
+    and the first P+1 coefficients add a polynomial of degree at most P.
+    """
+    m, n = a.den.degree, b.den.degree
+    p = max(a.num.degree - m, b.num.degree - n, -1)
+    return m * n, max(p + m * n, m * n - 1)
 
 
 def _recover_from_plan(a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> RatFun:
@@ -180,40 +206,16 @@ def _recover_from_plan(a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> Ra
     order = plan.den_bound.degree + plan.num_deg_bound + 3
     combine = series_binomial if kind == "binomial" else series_hadamard
     s = combine(a.expand(order), b.expand(order)).coeffs
-    return _recover_numerator(
-        plan.den_bound,
-        s,
-        plan.num_deg_bound,
-        f"{kind} numerator tail does not vanish; denominator bound is wrong",
-    )
+    what = f"{kind} numerator tail does not vanish; denominator bound is wrong"
+    return _recover_numerator(plan.den_bound, s, plan.num_deg_bound, what)
 
 
-# ---------------------------------------------------------------------------
-# reconstruction method
-
-
-def _binomial_reconstruct(a: RatFun, b: RatFun) -> RatFun:
+def _reconstruct(combine, a: RatFun, b: RatFun, den_deg: int, num_deg: int) -> RatFun:
+    """The product fitted from its series by `ratfun.reconstruct_rational`."""
     from .ratfun import reconstruct_rational
 
-    _, _, den_deg, num_deg = _binomial_bounds(a, b)
     order = den_deg + num_deg + 3
-    s = series_binomial(a.expand(order), b.expand(order))
-    return reconstruct_rational(s, den_deg, num_deg)
-
-
-def _hadamard_reconstruct(a: RatFun, b: RatFun) -> RatFun:
-    from .ratfun import reconstruct_rational
-
-    pa, fa = a.proper_split()
-    pb, fb = b.proper_split()
-    den_deg = fa.den.degree * fb.den.degree if (fa and fb) else 0
-    poly_deg = max(pa.degree, pb.degree)
-    num_deg = max(poly_deg + den_deg, den_deg - 1)
-    if num_deg < 0:
-        return RatFun.zero()
-    order = den_deg + num_deg + 3
-    s = series_hadamard(a.expand(order), b.expand(order))
-    return reconstruct_rational(s, den_deg, num_deg)
+    return reconstruct_rational(combine(a.expand(order), b.expand(order)), den_deg, num_deg)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +225,10 @@ def _hadamard_reconstruct(a: RatFun, b: RatFun) -> RatFun:
 def binomial_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
     """The generating function of c_n = sum_k C(n,k) a_k b_{n-k}.
 
-    Improper operands are fine: the resultant and symfun paths absorb them
-    through the u, v exponents of `plan_binomial`; the pfrac path splits off
-    the polynomial parts first; reconstruction just needs degree bounds.
+    Improper operands are fine.  Resultant, symfun and reconstruct work from
+    the degree bounds of `plan_binomial`, which absorb them; only pfrac,
+    whose constant-term split needs proper operands, splits off the
+    polynomial parts first.
     """
     _check_method(method)
     if a.is_zero() or b.is_zero():
@@ -235,99 +238,32 @@ def binomial_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
 
         return pfrac.binomial_via_constant_term(a, b)
     if method == "reconstruct":
-        return _binomial_reconstruct(a, b)
+        return _reconstruct(series_binomial, a, b, *_binomial_bounds(a, b)[2:])
     return _recover_from_plan(a, b, plan_binomial(a, b, method), "binomial")
 
 
 def hadamard_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
     """The generating function of c_n = a_n b_n.
 
-    The denominator theorems are stated for proper operands, so polynomial
-    parts are split off and handled by direct truncated termwise products;
-    only the proper x proper core goes through the requested method.
+    Improper operands are fine, under the same policy as `binomial_product`:
+    resultant, symfun and reconstruct work from the degree bounds of
+    `plan_hadamard`, and only pfrac splits off the polynomial parts.
     """
     _check_method(method)
     if a.is_zero() or b.is_zero():
         return RatFun.zero()
-    if method == "reconstruct":
-        return _hadamard_reconstruct(a, b)
     if method == "pfrac":
         from . import pfrac
 
-        core = pfrac.hadamard_proper_core
-    else:
-        def core(fa: RatFun, fb: RatFun) -> RatFun:
-            return _recover_from_plan(fa, fb, plan_hadamard(fa, fb, method), "hadamard")
-
-    return hadamard_from_proper_core(a, b, core)
+        return pfrac.hadamard_via_constant_term(a, b)
+    if method == "reconstruct":
+        return _reconstruct(series_hadamard, a, b, *_hadamard_bounds(a, b))
+    return _recover_from_plan(a, b, plan_hadamard(a, b, method), "hadamard")
 
 
 def _check_method(method: str) -> None:
     if method not in METHODS:
         raise InvalidInput(f"method must be one of {METHODS}, got {method!r}")
-
-
-def hadamard_from_proper_core(a: RatFun, b: RatFun, core) -> RatFun:
-    """Split off polynomial parts, then delegate proper x proper to ``core``.
-
-    With a = pa + fa and b = pb + fb (fa, fb proper):
-
-        a * b = pa*pb + pa*fb + fa*pb + fa*fb     (termwise products)
-
-    and the first three pieces are polynomials computable from finitely many
-    coefficients.
-    """
-    pa, fa = a.proper_split()
-    pb, fb = b.proper_split()
-    total = RatFun.from_poly(_poly_hadamard_poly(pa, pb))
-    if not pa.is_zero() and fb:
-        total = total + RatFun.from_poly(_poly_hadamard_fun(pa, fb))
-    if not pb.is_zero() and fa:
-        total = total + RatFun.from_poly(_poly_hadamard_fun(pb, fa))
-    if fa and fb:
-        total = total + core(fa, fb)
-    return total
-
-
-def _poly_hadamard_poly(p: Poly, q: Poly) -> Poly:
-    length = min(len(p.coeffs), len(q.coeffs))
-    return Poly([p.coeffs[i] * q.coeffs[i] for i in range(length)])
-
-
-def _poly_hadamard_fun(p: Poly, f: RatFun) -> Poly:
-    if p.is_zero():
-        return Poly()
-    s = f.expand(p.degree + 1)
-    return Poly([c * s.coeffs[i] for i, c in enumerate(p.coeffs)])
-
-
-def binomial_from_proper_core(a: RatFun, b: RatFun, core) -> RatFun:
-    """Split off polynomial parts, then delegate proper x proper to ``core``.
-
-    Polynomial operands reduce to monomial products through `poly_bprod`, so
-    a core that only knows how to combine proper series extends to all
-    rational power series: a (binomial) b = pa (binomial) b
-    + pb (binomial) fa + core(fa, fb).
-    """
-    pa, fa = a.proper_split()
-    pb, fb = b.proper_split()
-    total = RatFun.zero()
-    if not pa.is_zero():
-        total = total + _poly_binomial_expand(pa, b)
-    if not pb.is_zero() and fa:
-        total = total + _poly_binomial_expand(pb, fa)
-    if fa and fb:
-        total = total + core(fa, fb)
-    return total
-
-
-def _poly_binomial_expand(p: Poly, f: RatFun) -> RatFun:
-    """p(x) (binomial) f, expanded through poly_bprod one monomial at a time."""
-    total = RatFun.zero()
-    for m, c in enumerate(p.coeffs):
-        if c:
-            total = total + c * poly_bprod(m, f)
-    return total
 
 
 # ---------------------------------------------------------------------------

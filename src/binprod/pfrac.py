@@ -17,13 +17,18 @@ the cofactor of its second argument, so every division is an exact
 division in Q[x] and the coefficients stay as small as the subresultants.  The answer is one
 quotient of two polynomials in x, reduced once by `RatFun`.  Everything is
 exact.  No resultant or determinant is computed here.
+
+The split needs proper operands, so this is the one route that splits off
+polynomial parts: `binomial_via_constant_term` and
+`hadamard_via_constant_term` send only the proper parts through the split.
+The other routes absorb improper operands into their degree bounds.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from .convolve import binomial_from_proper_core
+from .convolve import poly_bprod
 from .errors import CoprimalityViolation, InternalInvariantViolation, InvalidInput
 from .polycore import BiPoly, Poly, sub_one_minus_y, sub_x_over_y
 from .ratfun import RatFun
@@ -153,9 +158,34 @@ def _constant_term(num: BiPoly, da: BiPoly, db: BiPoly) -> RatFun:
 def binomial_via_constant_term(a: RatFun, b: RatFun) -> RatFun:
     """The binomial product by constant-term extraction.
 
-    Improper operands are split into polynomial plus proper parts, with the
-    polynomial pieces handled by the differentiation formula for monomials.
+    With a = pa + fa and b = pb + fb (pa, pb polynomials, fa, fb proper),
+    a (binomial) b = pa (binomial) b + pb (binomial) fa + core(fa, fb), and a
+    polynomial times anything reduces to monomials through `poly_bprod`.
     """
-    if a.is_zero() or b.is_zero():
-        return RatFun.zero()
-    return binomial_from_proper_core(a, b, _binomial_proper_core)
+    pa, fa = a.proper_split()
+    pb, fb = b.proper_split()
+    total = _binomial_proper_core(fa, fb) if fa and fb else RatFun.zero()
+    for p, f in ((pa, b), (pb, fa)):
+        if f:
+            for m, c in enumerate(p.coeffs):
+                if c:
+                    total = total + c * poly_bprod(m, f)
+    return total
+
+
+def hadamard_via_constant_term(a: RatFun, b: RatFun) -> RatFun:
+    """The Hadamard product by constant-term extraction.
+
+    Only the proper parts fa, fb go through `hadamard_proper_core`.  Past
+    the largest polynomial-part degree P, a_n b_n is the core's coefficient,
+    so one correction polynomial of degree at most P, with coefficients
+    a_n b_n - core_n, completes the product.
+    """
+    pa, fa = a.proper_split()
+    pb, fb = b.proper_split()
+    core = hadamard_proper_core(fa, fb) if fa and fb else RatFun.zero()
+    order = max(pa.degree, pb.degree) + 1
+    if order <= 0:
+        return core
+    sa, sb, sc = a.expand(order), b.expand(order), core.expand(order)
+    return core + Poly([sa[n] * sb[n] - sc[n] for n in range(order)])

@@ -45,7 +45,8 @@ def power_sums(den: Poly, upto: int) -> Series:
     """
     if den.is_zero() or den.constant_term != 1:
         raise InvalidInput("denominator must have constant term 1")
-    tail = RatFun(-den.derivative().shift(1), den).expand(upto + 1).coeffs[1:]
+    # expand needs only den(0) = 1, so the pair is not reduced
+    tail = RatFun._canonical(-den.derivative().shift(1), den).expand(upto + 1).coeffs[1:]
     return Series((den.degree, *tail))
 
 

@@ -20,6 +20,7 @@ from binprod import (
     hadamard_product,
     komatsu_decompose,
     plan_binomial,
+    plan_hadamard,
     poly_bprod,
     series_binomial,
     series_hadamard,
@@ -250,6 +251,27 @@ class TestWorkedBinomialProducts:
         assert remainder == Poly()
         assert quotient == Poly([1, -3])
 
+    @pytest.mark.parametrize("method", ["resultant", "symfun"])
+    def test_hadamard_plan_takes_improper_operands(self, method):
+        # P is the largest polynomial-part degree; the bound is max(P + mn, mn - 1)
+        b = RatFun(Poly([1, 2]), Poly([1, -1, -1]))  # proper, n = 2
+        cases = [
+            # improper: degree 4 over degree 1, so P = 3
+            (RatFun(Poly([1, 0, 0, 2, 1]), Poly([1, -2])), 1, 3),
+            # a polynomial of degree 3: m = 0 and P = 3
+            (RatFun(Poly([1, -1, 0, 5])), 0, 3),
+        ]
+        for a, m, p in cases:
+            plan = plan_hadamard(a, b, method)
+            assert plan.den_bound.degree == m * 2
+            assert plan.num_deg_bound == max(p + m * 2, m * 2 - 1)
+            # and the product is T / den_bound with deg T within the bound
+            result = hadamard_product(a, b, method=method)
+            quotient, remainder = divmod(plan.den_bound, result.den)
+            assert remainder == Poly()
+            assert (result.num * quotient).degree <= plan.num_deg_bound
+            assert result.expand(30).coeffs == brute_hadamard(a, b, 30)
+
     def test_fibonacci_pell(self):
         a = RatFun(Poly.x(), Poly([1, -1, -1]))
         b = RatFun(Poly.x(), Poly([1, -2, -1]))
@@ -332,12 +354,22 @@ class TestMethodAgreementAndOracle:
                 assert bp.expand(order).coeffs == b_want
                 assert hp.expand(order).coeffs == h_want
 
+    FIXED_IMPROPER = [
+        # polynomial x polynomial
+        (RatFun(Poly([1, 2, 0, 3])), RatFun(Poly([2, -1, 5]))),
+        # polynomial x improper
+        (RatFun(Poly([1, -1, 0, 2])), RatFun(Poly([Fraction(1, 2), 0, 0, 1]), Poly([1, -1, -1]))),
+        # improper x improper
+        (RatFun(Poly([1, 0, 0, 2]), Poly([1, -1])), RatFun(Poly([2, -1, 3, 0, 1]), Poly([1, -1, -1]))),
+    ]
+
     def test_improper_inputs_all_methods(self):
         rng = random.Random(97)
-        order = 15
-        for _ in range(6):
-            a = rand_any(rng)
-            b = rand_any(rng)
+        # numerator plus denominator degree bounds reach 30 on these pairs, so
+        # agreement on 40 coefficients proves each product equal
+        order = 40
+        pairs = [(rand_any(rng), rand_any(rng)) for _ in range(6)] + self.FIXED_IMPROPER
+        for a, b in pairs:
             b_ref = binomial_product(a, b)
             h_ref = hadamard_product(a, b)
             assert b_ref.expand(order).coeffs == brute_binomial(a, b, order)
