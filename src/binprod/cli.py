@@ -8,6 +8,12 @@ is multiplication, so ``2x obprod fib`` means ``(2*x) obprod fib``.
 
 `to_text` prints an AST back into this language; parsing its output
 returns the identical AST, so the printed form is canonical.
+
+The AST nodes (`Num`, `Var`, `Seq`, `Neg`, `Pow` and the binary nodes
+`Add`, `Sub`, `Mul`, `Div`, `BProd`, `HProd`) are plain immutable classes
+on `record.Record`, all subclasses of `Expr`: a node equals another only
+if both have the same type and equal fields.  Importing this module
+generates no code for them.
 """
 
 from __future__ import annotations
@@ -18,9 +24,7 @@ import json
 import operator
 import shlex
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
 
 from .convolve import (
     METHODS,
@@ -32,6 +36,7 @@ from .convolve import (
 from .errors import BinprodError, InternalInvariantViolation, InvalidInput, ParseError
 from .polycore import Poly, format_poly
 from .ratfun import RatFun, Series, format_ratfun, reconstruct_rational
+from .record import Record
 from .seqlib import named_gf, run_identity_suite, sequence_descriptions
 
 # ---------------------------------------------------------------------------
@@ -52,14 +57,16 @@ _OP_CHARS = "+-*/^(),"
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+class Token(Record):
+    __slots__ = _fields = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "pos", pos)
 
 
-def tokenize(text: str) -> List[Token]:
+def tokenize(text: str) -> list[Token]:
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -98,70 +105,76 @@ def tokenize(text: str) -> List[Token]:
 # syntax trees
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class Expr(Record):
+    """Base of the syntax tree nodes; each subclass sets its fields in __init__."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Num(Expr):
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Seq:
-    name: str
-    args: Tuple["Expr", ...] = ()
+class Var(Expr):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
+class Seq(Expr):
+    __slots__ = _fields = ("name", "args")
+
+    def __init__(self, name: str, args: tuple[Expr, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Neg(Expr):
+    __slots__ = _fields = ("operand",)
+
+    def __init__(self, operand: Expr):
+        object.__setattr__(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Pow(Expr):
+    __slots__ = _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: int):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class _Binary(Expr):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: int
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BProd:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HProd:
-    left: "Expr"
-    right: "Expr"
+class Div(_Binary):
+    __slots__ = ()
 
 
-Expr = Union[Num, Var, Seq, Neg, Add, Sub, Mul, Div, Pow, BProd, HProd]
+class BProd(_Binary):
+    __slots__ = ()
+
+
+class HProd(_Binary):
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +393,7 @@ def _constant_param(value: RatFun, name: str) -> Fraction:
     return value.num.constant_term
 
 
-def _operands(e: Expr) -> Tuple[Expr, ...]:
+def _operands(e: Expr) -> tuple[Expr, ...]:
     # a sequence evaluates its own arguments, which nest at most MAX_NESTING
     if isinstance(e, (Num, Var, Seq)):
         return ()
@@ -388,7 +401,7 @@ def _operands(e: Expr) -> Tuple[Expr, ...]:
         return (e.operand,)
     if isinstance(e, Pow):
         return (e.base,)
-    if isinstance(e, (Add, Sub, Mul, Div, BProd, HProd)):
+    if isinstance(e, _Binary):
         return (e.left, e.right)
     raise InvalidInput(f"not an expression node: {e!r}")
 
@@ -396,7 +409,7 @@ def _operands(e: Expr) -> Tuple[Expr, ...]:
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
-def _apply(e: Expr, values: List[RatFun]) -> RatFun:
+def _apply(e: Expr, values: list[RatFun]) -> RatFun:
     """The value of node e, given the values of its operands in order."""
     if isinstance(e, Num):
         return RatFun.constant(e.value)
@@ -422,7 +435,7 @@ def evaluate(e: Expr) -> RatFun:
     Operands are evaluated left to right, with an explicit stack: a flat sum
     of n terms parses to a tree n deep.
     """
-    values: List[RatFun] = []
+    values: list[RatFun] = []
     todo = [(e, False)]
     while todo:
         node, ready = todo.pop()
@@ -446,11 +459,11 @@ def evaluate_text(text: str) -> RatFun:
 # subcommands
 
 
-def _poly_strings(p: Poly) -> List[str]:
+def _poly_strings(p: Poly) -> list[str]:
     return [str(c) for c in p.coeffs] or ["0"]
 
 
-def _emit_ratfun(f: RatFun, as_json: bool, extra: Optional[dict] = None) -> None:
+def _emit_ratfun(f: RatFun, as_json: bool, extra: dict | None = None) -> None:
     if as_json:
         payload = {"num": _poly_strings(f.num), "den": _poly_strings(f.den)}
         if extra:
@@ -575,7 +588,7 @@ def _cmd_recurrence(args) -> int:
     return 0
 
 
-def _format_recurrence(rec: List[Fraction]) -> str:
+def _format_recurrence(rec: list[Fraction]) -> str:
     parts = []
     for j, c in enumerate(rec, start=1):
         if c == 0:
@@ -658,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.
 
     The argument parser is built once per process, on the first call.
@@ -688,7 +701,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.set_int_max_str_digits(limit)
 
 
-def _internal_error(exc: Exception, argv: Optional[List[str]]) -> int:
+def _internal_error(exc: Exception, argv: list[str] | None) -> int:
     """Report a failure of binprod itself, with the command that reproduces it."""
     command = shlex.join(["binprod", *(sys.argv[1:] if argv is None else argv)])
     print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

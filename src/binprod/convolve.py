@@ -33,10 +33,9 @@ sums with them too, since they are not denominator code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb
-from typing import Callable, Tuple
 
 from . import symfun
 from .errors import (
@@ -55,6 +54,7 @@ from .polycore import (
     _fr,
 )
 from .ratfun import RatFun, _recover_numerator, series_binomial, series_hadamard
+from .record import Record
 
 METHODS = ("resultant", "symfun", "pfrac", "reconstruct")
 
@@ -116,16 +116,18 @@ def _check_denominator(den: Poly) -> None:
 # the main pipeline: denominator bound + numerator recovery
 
 
-@dataclass(frozen=True)
-class ProductPlan:
+class ProductPlan(Record):
     """A denominator bound and numerator degree bound for one product.
 
     The true product is T / den_bound for some polynomial T with
     deg(T) <= num_deg_bound; reduction to lowest terms happens afterwards.
     """
 
-    den_bound: Poly
-    num_deg_bound: int
+    __slots__ = _fields = ("den_bound", "num_deg_bound")
+
+    def __init__(self, den_bound: Poly, num_deg_bound: int):
+        object.__setattr__(self, "den_bound", den_bound)
+        object.__setattr__(self, "num_deg_bound", num_deg_bound)
 
 
 def _cross_denominator(method: str, kind: str) -> Callable[[Poly, Poly], Poly]:
@@ -154,7 +156,7 @@ def plan_binomial(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPla
     return ProductPlan(a.den**v * b.den**u * cross(a.den, b.den), num_deg)
 
 
-def _binomial_bounds(a: RatFun, b: RatFun) -> Tuple[int, int, int, int]:
+def _binomial_bounds(a: RatFun, b: RatFun) -> tuple[int, int, int, int]:
     """u, v and the denominator and numerator degree bounds of `plan_binomial`."""
     m, n = a.den.degree, b.den.degree
     u = max(a.num.degree + 1 - m, 0)
@@ -182,7 +184,7 @@ def plan_hadamard(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPla
     return ProductPlan(cross(a.den, b.den), num_deg)
 
 
-def _hadamard_bounds(a: RatFun, b: RatFun) -> Tuple[int, int]:
+def _hadamard_bounds(a: RatFun, b: RatFun) -> tuple[int, int]:
     """The denominator and numerator degree bounds of `plan_hadamard`.
 
     With P = max(deg a.num - m, deg b.num - n, -1), the largest degree of a
@@ -331,7 +333,7 @@ def closed_form_hprod(i: int, a, m: int, j: int, b, n: int) -> RatFun:
 # shared-cubic-denominator decomposition
 
 
-def komatsu_decompose(r: RatFun, s: RatFun) -> Tuple[Poly, Poly]:
+def komatsu_decompose(r: RatFun, s: RatFun) -> tuple[Poly, Poly]:
     """Split r (binomial) s for proper r, s sharing a cubic denominator.
 
     With D = 1 + A x + B x^2 + C x^3 (C != 0) the product decomposes as

@@ -26,8 +26,6 @@ The other routes absorb improper operands into their degree bounds.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from .convolve import poly_bprod
 from .errors import CoprimalityViolation, InternalInvariantViolation, InvalidInput
 from .polycore import BiPoly, Poly, sub_one_minus_y, sub_x_over_y
@@ -39,7 +37,7 @@ def _div_coeffs(p: BiPoly, c: Poly) -> BiPoly:
     return BiPoly._make([d.exact_div(c) for d in p.coeffs])
 
 
-def tpoly_xgcd(a: BiPoly, b: BiPoly) -> Tuple[BiPoly, BiPoly]:
+def tpoly_xgcd(a: BiPoly, b: BiPoly) -> tuple[BiPoly, BiPoly]:
     """The last nonzero remainder g of a and b, with its cofactor v of b.
 
     a and b are nonzero polynomials in t over Q[x].  Returns (g, v) with
@@ -83,7 +81,7 @@ def tpoly_xgcd(a: BiPoly, b: BiPoly) -> Tuple[BiPoly, BiPoly]:
     return r1, v1
 
 
-def constant_term_split(num: BiPoly, da: BiPoly, db: BiPoly) -> Tuple[BiPoly, BiPoly, Poly]:
+def constant_term_split(num: BiPoly, da: BiPoly, db: BiPoly) -> tuple[BiPoly, BiPoly, Poly]:
     """Two-term partial fractions over Q[x]: s*num/(da*db) = ra/da + rb/db.
 
     num, da and db are polynomials in t over Q[x], with da and db coprime

@@ -38,11 +38,11 @@ values can be shared freely between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import count
 from math import gcd as int_gcd, lcm
-from typing import Iterable, Optional, Sequence
 
 from .errors import DivisibilityError, InvalidInput
 
@@ -752,7 +752,7 @@ def resultant(a: BiPoly, b: BiPoly) -> Poly:
     return det_fraction_free(sylvester(a, b))
 
 
-def sub_one_minus_y(p: Poly, power: Optional[int] = None) -> BiPoly:
+def sub_one_minus_y(p: Poly, power: int | None = None) -> BiPoly:
     """(1-y)^e * p(x/(1-y)) as a BiPoly, where e defaults to deg(p).
 
     Expands to sum_i p_i x^i (1-y)^{e-i}; e may exceed deg(p) but not fall
@@ -774,7 +774,7 @@ def sub_one_minus_y(p: Poly, power: Optional[int] = None) -> BiPoly:
     return acc
 
 
-def sub_x_over_y(p: Poly, power: Optional[int] = None) -> BiPoly:
+def sub_x_over_y(p: Poly, power: int | None = None) -> BiPoly:
     """y^e * p(x/y) as a BiPoly, where e defaults to deg(p).
 
     The coefficient of y^{e-j} is p_j x^j.  For p = prod(1 - beta_j x) and

@@ -18,10 +18,10 @@ truncated product.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import lcm
 from operator import add, mul
-from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DivisionByZero,
@@ -214,7 +214,7 @@ class RatFun:
 
     # -- field arithmetic -------------------------------------------------------
 
-    def _coerce(self, other) -> Optional["RatFun"]:
+    def _coerce(self, other) -> RatFun | None:
         if isinstance(other, RatFun):
             return other
         if isinstance(other, Poly):
@@ -325,7 +325,7 @@ class RatFun:
     def coefficient(self, n: int) -> Fraction:
         return self.expand(n + 1).coeffs[n]
 
-    def proper_split(self) -> Tuple[Poly, "RatFun"]:
+    def proper_split(self) -> tuple[Poly, "RatFun"]:
         """Write self as poly + proper with deg(proper.num) < deg(proper.den).
 
         Plain polynomial division: num = q*den + r, so self = q + r/den.

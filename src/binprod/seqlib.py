@@ -14,9 +14,8 @@ a regression harness: a deliberately wrong generating function passed via
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .convolve import binomial_product, hadamard_product, komatsu_decompose
 from .errors import InvalidInput
@@ -29,19 +28,22 @@ from .polycore import (
     _fr,
 )
 from .ratfun import RatFun
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # named generating functions
 
 
-@dataclass(frozen=True)
-class NamedGF:
+class NamedGF(Record):
     """A registry entry: a sequence name, its parameters, and its series."""
 
-    name: str
-    params: Tuple[Fraction, ...]
-    gf: RatFun
+    __slots__ = _fields = ("name", "params", "gf")
+
+    def __init__(self, name: str, params: tuple[Fraction, ...], gf: RatFun):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "gf", gf)
 
 
 def _fib_gf() -> RatFun:
@@ -84,7 +86,7 @@ def _g_gf(a: Fraction, b: Fraction) -> RatFun:
 
 
 # name -> (allowed parameter counts, builder, description)
-_REGISTRY: Dict[str, Tuple[Tuple[int, ...], Callable[..., RatFun], str]] = {
+_REGISTRY: dict[str, tuple[tuple[int, ...], Callable[..., RatFun], str]] = {
     "fib": ((0,), _fib_gf, "Fibonacci numbers, x/(1-x-x^2)"),
     "lucas": ((0,), _lucas_gf, "Lucas numbers, (2-x)/(1-x-x^2)"),
     "pell": ((0,), _pell_gf, "Pell numbers, x/(1-2x-x^2)"),
@@ -101,12 +103,12 @@ _REGISTRY: Dict[str, Tuple[Tuple[int, ...], Callable[..., RatFun], str]] = {
 }
 
 
-def sequence_names() -> List[str]:
+def sequence_names() -> list[str]:
     """Registered sequence names, sorted."""
     return sorted(_REGISTRY)
 
 
-def sequence_descriptions() -> Dict[str, str]:
+def sequence_descriptions() -> dict[str, str]:
     return {name: entry[2] for name, entry in _REGISTRY.items()}
 
 
@@ -175,25 +177,31 @@ def _parity(n: int) -> int:
 # identity suite
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(Record):
     """Outcome of one identity: exact pass/fail plus a failure witness."""
 
-    id: str
-    slug: str
-    description: str
-    params: str
-    status: str
-    witness: str = ""
+    __slots__ = _fields = ("id", "slug", "description", "params", "status", "witness")
+
+    def __init__(
+        self, id: str, slug: str, description: str, params: str, status: str, witness: str = ""
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "slug", slug)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    checks: Tuple[IdentityCheck, ...]
+class IdentityReport(Record):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: tuple[IdentityCheck, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -211,7 +219,7 @@ class IdentityReport:
         lines.append(f"{done}/{len(self.checks)} identity groups verified exactly")
         return "\n".join(lines)
 
-    def to_records(self) -> List[dict]:
+    def to_records(self) -> list[dict]:
         return [
             {
                 "id": c.id,
@@ -243,7 +251,7 @@ def _geometric_block(c) -> RatFun:
     return RatFun(Poly.constant(c), Poly([1, -1]))
 
 
-def _check_church_bicknell(gfs, rng) -> Tuple[str, List[str]]:
+def _check_church_bicknell(gfs, rng) -> tuple[str, list[str]]:
     f, lucas = gfs["fib"], gfs["lucas"]
     prod = binomial_product(f, f)
     display = RatFun(Poly([0, 0, 2]), Poly([1, -3, -2, 4]))
@@ -256,7 +264,7 @@ def _check_church_bicknell(gfs, rng) -> Tuple[str, List[str]]:
     return "no parameters", failures
 
 
-def _check_generalized_cb(gfs, rng) -> Tuple[str, List[str]]:
+def _check_generalized_cb(gfs, rng) -> tuple[str, list[str]]:
     f, lucas = gfs["fib"], gfs["lucas"]
     failures = []
     for p in range(-3, 6):
@@ -269,7 +277,7 @@ def _check_generalized_cb(gfs, rng) -> Tuple[str, List[str]]:
     return "p in {-3..5}", failures
 
 
-def _check_even_binomial(gfs, rng) -> Tuple[str, List[str]]:
+def _check_even_binomial(gfs, rng) -> tuple[str, list[str]]:
     f = gfs["fib"]
     lhs = binomial_product(f, RatFun(Poly.one(), Poly([1, 0, -1])))
     display = RatFun(Poly([0, 1, -1]), Poly([1, -2, -3, 4, -1]))
@@ -282,7 +290,7 @@ def _check_even_binomial(gfs, rng) -> Tuple[str, List[str]]:
     return "no parameters", failures
 
 
-def _check_fib_squares_conv(gfs, rng) -> Tuple[str, List[str]]:
+def _check_fib_squares_conv(gfs, rng) -> tuple[str, list[str]]:
     f, lucas = gfs["fib"], gfs["lucas"]
     squares = hadamard_product(f, f)
     lhs = binomial_product(squares, RatFun(Poly.constant(10), Poly([1, 0, -5])))
@@ -298,7 +306,7 @@ def _check_fib_squares_conv(gfs, rng) -> Tuple[str, List[str]]:
     return "no parameters", failures
 
 
-def _check_second_order_self(gfs, rng) -> Tuple[str, List[str]]:
+def _check_second_order_self(gfs, rng) -> tuple[str, list[str]]:
     pairs = [(1, 1), (1, 2), (2, 1)]
     pairs += [(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(5)]
     failures = []
@@ -311,7 +319,7 @@ def _check_second_order_self(gfs, rng) -> Tuple[str, List[str]]:
     return "(a,b) in {(1,1),(1,2),(2,1)} plus 5 seeded draws from [-4,4]^2", failures
 
 
-def _check_komatsu(gfs, rng) -> Tuple[str, List[str]]:
+def _check_komatsu(gfs, rng) -> tuple[str, list[str]]:
     t = gfs["trib"]
     failures = []
     tt = binomial_product(t, t)
@@ -349,7 +357,7 @@ def _check_komatsu(gfs, rng) -> Tuple[str, List[str]]:
     return "no parameters", failures
 
 
-def _check_perrin_family(gfs, rng) -> Tuple[str, List[str]]:
+def _check_perrin_family(gfs, rng) -> tuple[str, list[str]]:
     perrin = gfs["perrin"]
     failures = []
     prod = binomial_product(perrin, perrin)
@@ -373,7 +381,7 @@ def _check_perrin_family(gfs, rng) -> Tuple[str, List[str]]:
     return "a in {-2..3} minus 0", failures
 
 
-def _check_jacobsthal(gfs, rng) -> Tuple[str, List[str]]:
+def _check_jacobsthal(gfs, rng) -> tuple[str, list[str]]:
     j = gfs["jacobsthal"]
     lhs = 3 * binomial_product(j, j)
     rhs = j.compose_scale(2) + 2 * j.compose_scale(-1)
@@ -383,7 +391,7 @@ def _check_jacobsthal(gfs, rng) -> Tuple[str, List[str]]:
     return "no parameters", failures
 
 
-def _check_quartic(gfs, rng) -> Tuple[str, List[str]]:
+def _check_quartic(gfs, rng) -> tuple[str, list[str]]:
     r, perrin = gfs["r"], gfs["perrin"]
     lhs = binomial_product(r, r)
     rhs = (r.compose_scale(2) + perrin.compose_poly(Poly([0, 0, 4]))) / 4
@@ -393,7 +401,7 @@ def _check_quartic(gfs, rng) -> Tuple[str, List[str]]:
     return "no parameters", failures
 
 
-def _check_hadamard_second_order(gfs, rng) -> Tuple[str, List[str]]:
+def _check_hadamard_second_order(gfs, rng) -> tuple[str, list[str]]:
     failures = []
     tuples = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(10)]
     for a, b, c, d in tuples:
@@ -409,7 +417,7 @@ def _check_hadamard_second_order(gfs, rng) -> Tuple[str, List[str]]:
     return "10 seeded integer tuples from [-3,3]^4", failures
 
 
-def _check_fib_squares_hadamard(gfs, rng) -> Tuple[str, List[str]]:
+def _check_fib_squares_hadamard(gfs, rng) -> tuple[str, list[str]]:
     f = gfs["fib"]
     prod = hadamard_product(f, f)
     # the quartic form reduces to the cubic one; both displays must agree
@@ -425,7 +433,7 @@ def _check_fib_squares_hadamard(gfs, rng) -> Tuple[str, List[str]]:
     return "no parameters", failures
 
 
-def _check_worked_examples(gfs, rng) -> Tuple[str, List[str]]:
+def _check_worked_examples(gfs, rng) -> tuple[str, list[str]]:
     failures = []
     one = binomial_product(
         RatFun(Poly.x(), Poly([1, -1]) * Poly([1, -2])),
@@ -482,14 +490,14 @@ _SUITE = (
 )
 
 
-def identity_ids() -> List[str]:
+def identity_ids() -> list[str]:
     return [ident for ident, _, _, _ in _SUITE]
 
 
 def run_identity_suite(
-    only: Optional[Iterable[str]] = None,
+    only: Iterable[str] | None = None,
     seed: str = DEFAULT_SEED,
-    overrides: Optional[Dict[str, RatFun]] = None,
+    overrides: dict[str, RatFun] | None = None,
 ) -> IdentityReport:
     """Run the identity catalog and report pass/fail per identity.
 
