@@ -183,6 +183,7 @@ class HProd(_Binary):
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.index = 0
         self.depth = 0
@@ -217,11 +218,12 @@ class _Parser:
             )
         return self.advance()
 
-    @staticmethod
-    def _describe(tok: Token) -> str:
+    def _describe(self, tok: Token) -> str:
         if tok.kind == _END:
             return "end of input"
-        return f"{tok.kind} {tok.text!r}"
+        # a unicode product is tokenized as its word; name what was typed
+        typed = self.text[tok.pos]
+        return f"{tok.kind} {(typed if typed in _UNICODE_OPS else tok.text)!r}"
 
     def parse(self) -> Expr:
         node = self.parse_expr()
@@ -412,9 +414,9 @@ _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: ope
 def _apply(e: Expr, values: list[RatFun]) -> RatFun:
     """The value of node e, given the values of its operands in order."""
     if isinstance(e, Num):
-        return RatFun.constant(e.value)
+        return RatFun(e.value)
     if isinstance(e, Var):
-        return RatFun.from_poly(Poly.x())
+        return RatFun(Poly.x())
     if isinstance(e, Seq):
         params = [_constant_param(evaluate(a), e.name) for a in e.args]
         return named_gf(e.name, params).gf

@@ -14,9 +14,10 @@ Two rings carry the computation: Q[x], as `Poly`, and Q[x][t], as
 polynomials in x.  `tpoly_xgcd` runs the subresultant pseudo-remainder
 sequence (Collins, J. ACM 14, 1967; Brown and Traub, J. ACM 18, 1971) with
 the cofactor of its second argument, so every division is an exact
-division in Q[x] and the coefficients stay as small as the subresultants.  The answer is one
-quotient of two polynomials in x, reduced once by `RatFun`.  Everything is
-exact.  No resultant or determinant is computed here.
+division in Q[x] and the coefficients stay as small as the subresultants.
+The answer is one quotient of two polynomials in x, reduced once by
+`RatFun`.  Everything is exact.  No resultant or determinant is computed
+here.
 
 The split needs proper operands, so this is the one route that splits off
 polynomial parts: `binomial_via_constant_term` and

@@ -130,6 +130,9 @@ class _DensePoly:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
+        # a constant equals its coefficient, so it hashes like one
+        if len(self.coeffs) <= 1:
+            return hash(self[0])
         return hash((type(self).__name__, self.coeffs))
 
     # -- ring operations ---------------------------------------------------
@@ -297,20 +300,12 @@ class Poly(_DensePoly):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero() -> "Poly":
-        return Poly()
-
-    @staticmethod
     def one() -> "Poly":
         return Poly([1])
 
     @staticmethod
     def x() -> "Poly":
         return Poly([0, 1])
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([c])
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
@@ -363,13 +358,6 @@ class Poly(_DensePoly):
     def derivative(self) -> "Poly":
         return Poly._make([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def evaluate(self, v) -> Fraction:
-        v = _fr(v)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), by Horner's rule over Poly arithmetic."""
         acc = Poly()
@@ -404,7 +392,7 @@ class Poly(_DensePoly):
         return f"Poly({format_poly(self)!r})"
 
 
-def format_poly(p: Poly, var: str = "x") -> str:
+def format_poly(p: Poly) -> str:
     """Render in ascending powers, e.g. ``1 - 6*x + 7*x^2``.
 
     The output re-parses in the expression language of the command line
@@ -420,7 +408,7 @@ def format_poly(p: Poly, var: str = "x") -> str:
         if i == 0:
             body = str(mag)
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = "x" if i == 1 else f"x^{i}"
             body = v if mag == 1 else f"{mag}*{v}"
         if not pieces:
             pieces.append(body if c > 0 else "-" + body)
@@ -798,7 +786,7 @@ def lift_to_y(p: Poly) -> BiPoly:
     return BiPoly(p.coeffs)
 
 
-def _row_reduce(rows: Sequence[Sequence], rhs: Sequence, zero):
+def _row_reduce(rows: Sequence[Sequence], rhs: Sequence):
     """Gauss-Jordan elimination over any exact field.
 
     Returns (reduced augmented matrix, pivot columns, consistent).  Entries
@@ -837,7 +825,7 @@ def solve_exact(rows: Sequence[Sequence], rhs: Sequence, zero):
     """
     if len(rows) != len(rhs):
         raise InvalidInput("matrix and right-hand side sizes differ")
-    aug, pivots, consistent = _row_reduce(rows, rhs, zero)
+    aug, pivots, consistent = _row_reduce(rows, rhs)
     if not consistent:
         return None
     sol = [zero] * (len(rows[0]) if rows else 0)

@@ -7,8 +7,10 @@ power series at the origin.  `Series` is a finite prefix of an expansion;
 `RatFun.expand` runs the denominator's recurrence on num and den cleared
 to Z[x], in Python integers, and makes one `Fraction` per coefficient at
 the end.  The two series kernels, `series_binomial` (in Z) and
-`series_hadamard`, combine two prefixes coefficientwise.  A sum, product or quotient takes one gcd to reach canonical form;
-negation and powers take none, because they keep a canonical pair canonical.
+`series_hadamard`, combine two prefixes coefficientwise.
+
+A sum, product or quotient takes one gcd to reach canonical form; negation
+and powers take none, because they keep a canonical pair canonical.
 
 `reconstruct_rational` recovers a rational function from enough series
 coefficients and degree bounds, by solving for the denominator first (a
@@ -143,18 +145,6 @@ class RatFun:
         return RatFun(Poly())
 
     @staticmethod
-    def one() -> "RatFun":
-        return RatFun(Poly.one())
-
-    @staticmethod
-    def constant(c) -> "RatFun":
-        return RatFun(Poly([c]))
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFun":
-        return RatFun(p)
-
-    @staticmethod
     def geometric(alpha) -> "RatFun":
         """1 / (1 - alpha*x), the generating function of alpha^n."""
         return RatFun(Poly.one(), Poly([1, -_fr(alpha)]))
@@ -204,12 +194,15 @@ class RatFun:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Scalar):
-            other = RatFun.constant(other)
+            other = RatFun(other)
         if not isinstance(other, RatFun):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its value, so it hashes like one
+        if self.den.degree == 0 and self.num.degree <= 0:
+            return hash(self.num[0])
         return hash(("RatFun", self.num.coeffs, self.den.coeffs))
 
     # -- field arithmetic -------------------------------------------------------
@@ -220,7 +213,7 @@ class RatFun:
         if isinstance(other, Poly):
             return RatFun(other)
         if isinstance(other, Scalar):
-            return RatFun.constant(other)
+            return RatFun(other)
         return None
 
     def __add__(self, other):
@@ -321,9 +314,6 @@ class RatFun:
             dens.append(ln * power)
             power *= ld
         return Series(map(Fraction, ints, dens))
-
-    def coefficient(self, n: int) -> Fraction:
-        return self.expand(n + 1).coeffs[n]
 
     def proper_split(self) -> tuple[Poly, "RatFun"]:
         """Write self as poly + proper with deg(proper.num) < deg(proper.den).

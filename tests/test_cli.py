@@ -117,6 +117,19 @@ class TestParser:
             parse_expression("2 3")
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize(
+        "text, typed, position",
+        [("⊙", "⊙", 0), ("fib ⊙ ∗", "∗", 6), ("(∗)", "∗", 1), ("fib obprod hprod", "hprod", 11)],
+    )
+    def test_product_operator_reported_as_typed(self, capsys, text, typed, position):
+        with pytest.raises(ParseError) as exc:
+            parse_expression(text)
+        assert exc.value.position == position
+        message = f"unexpected name {typed!r} at position {position}"
+        assert str(exc.value).startswith(message)
+        assert main(["eval", text]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {message}")
+
     def test_trailing_operator_rejected(self):
         with pytest.raises(ParseError):
             parse_expression("1 +")
@@ -290,6 +303,14 @@ class TestMainCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert [c["id"] for c in payload["checks"]] == list("abcdefghijkl")
+
+    @pytest.mark.parametrize("only", ["", ",", " , "], ids=repr)
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_verify_empty_filter_exits_1(self, capsys, only, fmt):
+        assert main(["verify", "--only", only, *fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the identity filter selects no identity\n"
 
     def test_verify_failure_exits_3(self, capsys, monkeypatch):
         wrong = RatFun(Poly([2, -2]), Poly([1, -1, -1]))

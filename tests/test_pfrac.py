@@ -8,21 +8,21 @@ import pytest
 
 import binprod.pfrac as pfrac
 from binprod import (
-    BiPoly,
     CoprimalityViolation,
     InternalInvariantViolation,
     InvalidInput,
     Poly,
     RatFun,
     binomial_product,
+    hadamard_product,
+)
+from binprod.pfrac import (
     binomial_via_constant_term,
     constant_term_split,
-    hadamard_product,
-    resultant,
+    hadamard_proper_core,
     tpoly_xgcd,
 )
-from binprod.pfrac import hadamard_proper_core
-from binprod.polycore import lift_to_y, sub_x_over_y
+from binprod.polycore import BiPoly, lift_to_y, resultant, sub_x_over_y
 
 
 def rand_tpoly(rng, deg, coeff_deg=1, rational=False):

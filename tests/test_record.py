@@ -5,7 +5,9 @@ import pickle
 
 import pytest
 
-from binprod import IdentityCheck, IdentityReport, NamedGF, Poly, ProductPlan, named_gf
+from binprod import Poly, named_gf
+from binprod.convolve import ProductPlan
+from binprod.seqlib import IdentityCheck, IdentityReport, NamedGF
 from binprod.cli import Add, BProd, Div, Expr, HProd, Mul, Neg, Num, Pow, Seq, Sub, Token, Var
 from binprod.record import Record
 

@@ -5,17 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from binprod import (
-    InvalidInput,
-    Poly,
-    RatFun,
+from binprod import InvalidInput, Poly, RatFun, named_gf, run_identity_suite
+from binprod.seqlib import (
     fib_number,
     fibonacci_multisection,
     identity_ids,
     lucas_multisection,
     lucas_number,
-    named_gf,
-    run_identity_suite,
     sequence_names,
 )
 
@@ -158,6 +154,11 @@ class TestIdentitySuite:
     def test_unknown_filter_rejected(self):
         with pytest.raises(InvalidInput):
             run_identity_suite(only="z")
+
+    @pytest.mark.parametrize("only", [[], "", ",", [" ", ""]], ids=repr)
+    def test_empty_filter_rejected(self, only):
+        with pytest.raises(InvalidInput, match="selects no identity"):
+            run_identity_suite(only=only)
 
     def test_perturbed_lucas_fails_its_identities(self):
         wrong = RatFun(Poly([2, -2]), Poly([1, -1, -1]))

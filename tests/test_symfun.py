@@ -5,17 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from binprod import (
-    InvalidInput,
-    Poly,
-    binomial_denominator,
-    denominator_via_symfun,
-    hadamard_denominator,
-    series_binomial,
-    series_hadamard,
-)
-from binprod.ratfun import Series
-from binprod.symfun import denominator_from_power_sums, power_sums
+from binprod import InvalidInput, Poly
+from binprod.convolve import binomial_denominator, hadamard_denominator
+from binprod.ratfun import Series, series_binomial, series_hadamard
+from binprod.symfun import denominator_from_power_sums, denominator_via_symfun, power_sums
 
 
 def rand_den(rng, deg):
