@@ -19,8 +19,11 @@ and resultants, and the y-substitutions that turn denominator products such
 as prod(1 - (alpha_i + beta_j) x) into a single resultant computation.
 
 The hot kernels leave `Fraction` for plain integers.  Determinants clear
-denominators row by row and eliminate in Z[x] (Bareiss, Math. Comp. 22,
-1968), dividing by the row scales once at the end.  `Poly.exact_div`, the
+denominators row by row, pack each Z[x] entry into one integer by
+Kronecker substitution x = 2^w, with w above a Hadamard bound on the
+coefficients of every minor, and eliminate on those integers (Bareiss,
+Math. Comp. 22, 1968); the result is unpacked from balanced base-2^w
+digits and divided by the row scales once at the end.  `Poly.exact_div`, the
 division by a gcd in every fraction type, clears both operands and divides
 in Z[x] by the primitive part of the divisor, rescaling once.  `poly_gcd`
 is a modular gcd (Brown, J. ACM 18, 1971): it clears both arguments to
@@ -42,7 +45,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, isqrt, lcm
 
 from .errors import DivisibilityError, InvalidInput
 
@@ -627,22 +630,6 @@ class Matrix:
         return f"Matrix({body})"
 
 
-def _zx_cross(p: list, q: list, r: list, s: list) -> list:
-    """p*q - r*s in Z[x]; coefficient lists from x^0 up, trimmed."""
-    out = [0] * max(len(p) + len(q) - 1, len(r) + len(s) - 1, 0)
-    for i, c in enumerate(p):
-        if c:
-            for j, d in enumerate(q):
-                out[i + j] += c * d
-    for i, c in enumerate(r):
-        if c:
-            for j, d in enumerate(s):
-                out[i + j] -= c * d
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def _zx_exact_div(a: list, b: list) -> list:
     """a / b in Z[x], raising DivisibilityError unless the quotient is in Z[x]."""
     if not a:
@@ -666,29 +653,80 @@ def _zx_exact_div(a: list, b: list) -> list:
     return quo
 
 
+def _kronecker_pack(ints: list, w: int) -> int:
+    """The value at x = 2^w of a Z[x] coefficient list (Kronecker substitution)."""
+    v = 0
+    for c in reversed(ints):
+        v = (v << w) + c
+    return v
+
+
+def _kronecker_unpack(v: int, w: int) -> list:
+    """The Z[x] coefficient list whose value at x = 2^w is v.
+
+    Reads v in balanced base-2^w digits, each in [-2^(w-1), 2^(w-1)), so
+    it inverts `_kronecker_pack` for every list whose coefficients lie in
+    that range.
+    """
+    mask, half = (1 << w) - 1, 1 << (w - 1)
+    out = []
+    while v:
+        c = v & mask
+        if c >= half:
+            c -= 1 << w
+        out.append(c)
+        v = (v - c) >> w
+    return out
+
+
 def det_fraction_free(m: Matrix) -> Poly:
-    """Determinant by one-step fraction-free (Bareiss) elimination over Z[x].
+    """Determinant by one-step fraction-free (Bareiss) elimination.
 
     Each row is multiplied by the lcm of the denominators of its
-    coefficients, so every entry becomes an integer polynomial.  Elimination
-    then runs on integer coefficient lists, where each division is exact,
-    as the algorithm guarantees over an integral domain; an inexact one
-    raises DivisibilityError.  The determinant of the scaled matrix is
-    divided by the product of the row scales once, at the end.  The
-    determinant of the empty (0x0) matrix is 1.
+    coefficients, so every entry becomes an integer polynomial, and the
+    determinant of the scaled matrix is divided by the product of the row
+    scales once, at the end.  The determinant of the empty (0x0) matrix is
+    1.
+
+    Elimination runs on plain integers by Kronecker substitution: each
+    entry is replaced by its value at x = 2^w.  Every Bareiss entry is, up
+    to sign, a minor of the scaled matrix, and a minor's coefficients are
+    at most its largest absolute value on the unit circle, which by
+    Hadamard's inequality is at most the product of its row 2-norms there.
+    A minor's rows are parts of rows of the matrix, so every coefficient of
+    every minor is bounded by
+
+        B = prod_i max(1, ceil(sqrt(sum_j ||M_ij||_1^2))),
+
+    where ||.||_1 is the sum of the absolute values of an entry's
+    coefficients.  With w = B.bit_length() + 1 each minor is recovered from
+    its value by balanced base-2^w digits; in particular a packed zero is
+    exactly a zero polynomial, so the pivot search and its row swaps are
+    those of elimination in Z[x].  Each division is exact, as the algorithm
+    guarantees over an integral domain; a remainder raises
+    DivisibilityError.
+
+    >>> det_fraction_free(Matrix([[Poly([0, 1]), 2], [Poly([1, 1]), 1]]))
+    Poly('-2 - x')
     """
     if m.nrows != m.ncols:
         raise InvalidInput("determinant requires a square matrix")
     n = m.nrows
     if n == 0:
         return Poly.one()
-    grid = []
-    scale = 1
+    rows = []
+    scale = bound = 1
     for row in m.entries:
         s = lcm(*(c.denominator for e in row for c in e.coeffs))
         scale *= s
-        grid.append([_scaled_numerators(e.coeffs, s) for e in row])
-    prev = [1]
+        ints = [_scaled_numerators(e.coeffs, s) for e in row]
+        norm2 = sum(sum(map(abs, e)) ** 2 for e in ints)
+        if norm2 > 1:
+            bound *= isqrt(norm2 - 1) + 1
+        rows.append(ints)
+    w = bound.bit_length() + 1
+    grid = [[_kronecker_pack(e, w) for e in row] for row in rows]
+    prev = 1
     for k in range(n - 1):
         if not grid[k][k]:
             for i in range(k + 1, n):
@@ -701,11 +739,15 @@ def det_fraction_free(m: Matrix) -> Poly:
         pivot, top = grid[k][k], grid[k]
         for i in range(k + 1, n):
             row = grid[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                row[j] = _zx_exact_div(_zx_cross(pivot, row[j], row[k], top[j]), prev)
-            row[k] = []
+                q, r = divmod(pivot * row[j] - lead * top[j], prev)
+                if r:
+                    raise DivisibilityError("Bareiss division is not exact")
+                row[j] = q
+            row[k] = 0
         prev = pivot
-    return Poly([Fraction(c, scale) for c in grid[n - 1][n - 1]])
+    return Poly([Fraction(c, scale) for c in _kronecker_unpack(grid[n - 1][n - 1], w)])
 
 
 def sylvester(a: BiPoly, b: BiPoly) -> Matrix:

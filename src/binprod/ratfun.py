@@ -112,7 +112,8 @@ class RatFun:
 
     Invariants: den is nonzero with den(0) = 1, and gcd(num, den) = 1.  The
     zero function is 0/1.  Because the representation is canonical, equality
-    and hashing are structural.  Instances are immutable.
+    and hashing are structural, and a `Poly` or scalar compares and hashes
+    like the function it lifts to.  Instances are immutable.
 
     >>> RatFun(Poly([0, 2]), Poly([2, -2]))
     (x) / (1 - x)
@@ -193,16 +194,15 @@ class RatFun:
         return self.num.degree < self.den.degree or self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            other = RatFun(other)
-        if not isinstance(other, RatFun):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        # a constant equals its value, so it hashes like one
-        if self.den.degree == 0 and self.num.degree <= 0:
-            return hash(self.num[0])
+        # a polynomial equals its numerator, so it hashes like one
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash(("RatFun", self.num.coeffs, self.den.coeffs))
 
     # -- field arithmetic -------------------------------------------------------
@@ -210,9 +210,7 @@ class RatFun:
     def _coerce(self, other) -> RatFun | None:
         if isinstance(other, RatFun):
             return other
-        if isinstance(other, Poly):
-            return RatFun(other)
-        if isinstance(other, Scalar):
+        if isinstance(other, (Poly, *Scalar)):
             return RatFun(other)
         return None
 

@@ -551,7 +551,7 @@ class TestRouteIndependence:
             (polycore, "det_fraction_free"),
             (polycore, "resultant"),
             (polycore, "sylvester"),
-            (polycore, "_zx_cross"),
+            (polycore, "_kronecker_pack"),
             (convolve, "resultant"),
             (symfun, "denominator_via_symfun"),
             (ratfun, "reconstruct_rational"),

@@ -7,6 +7,7 @@ import pytest
 
 import binprod.polycore as polycore
 from binprod import DivisibilityError, InvalidInput, Poly
+from binprod.convolve import binomial_denominator, hadamard_denominator
 from binprod.polycore import (
     BiPoly,
     Matrix,
@@ -406,6 +407,87 @@ class TestDeterminant:
 
     def test_empty_matrix(self):
         assert det_fraction_free(Matrix(())) == Poly.one()
+
+    # A 4x4 Hadamard matrix meets the coefficient bound: every row has
+    # 2-norm 2, so B = 2^4 = 16 = |det|.
+    HADAMARD = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+
+    def test_hadamard_matrix_meets_the_bound(self):
+        m = Matrix(self.HADAMARD)
+        assert det_fraction_free(m) == det_cofactor(m) == Poly([16])
+        flipped = Matrix([[-c for c in self.HADAMARD[0]]] + self.HADAMARD[1:])
+        assert det_fraction_free(flipped) == Poly([-16])
+
+    def test_hadamard_matrix_of_monomials_meets_the_bound(self):
+        # entry (i, j) is +-x^j, so det = x^(0+1+2+3) * 16; then the
+        # exponents vary along rows too, spreading the terms over degrees
+        m = Matrix([[Poly.monomial(j, c) for j, c in enumerate(row)] for row in self.HADAMARD])
+        assert det_fraction_free(m) == det_cofactor(m) == Poly.monomial(6, 16)
+        m = Matrix(
+            [[Poly.monomial((i * j) % 3, c) for j, c in enumerate(row)] for i, row in enumerate(self.HADAMARD)]
+        )
+        assert det_fraction_free(m) == det_cofactor(m)
+        assert max(abs(c) for c in det_fraction_free(m).coeffs) <= 16
+
+    def test_negative_determinants(self):
+        assert det_fraction_free(Matrix([[1, 2], [1, 1]])) == Poly([-1])
+        x = Poly.x()
+        # 1 - x^2: a negative leading coefficient above a positive constant
+        assert det_fraction_free(Matrix([[1, x], [x, 1]])) == Poly([1, 0, -1])
+        # negative digits on both sides of a positive one
+        m = Matrix([[Poly([-3, 2]), Poly([0, 5])], [Poly([1, 1]), Poly([2, -1])]])
+        assert det_fraction_free(m) == det_cofactor(m) == Poly([-6, 2, -7])
+
+    def test_rational_rows_force_a_later_row_swap(self):
+        # the (1, 1) pivot vanishes after the first step, so row 2 moves up
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        m = Matrix([[1, half, 0], [2, 1, third], [0, Poly.x(), 1]])
+        assert det_fraction_free(m) == det_cofactor(m) == Poly([0, -third])
+        # and with the first column's pivot two rows down
+        m = Matrix([[0, half, Poly([0, third])], [0, Poly([1, half]), 2], [third, 1, Poly([Fraction(-1, 4), 1])]])
+        assert det_fraction_free(m) == det_cofactor(m)
+        assert not det_fraction_free(m).is_zero()
+
+    def test_matches_cofactor_expansion_on_generated_matrices(self):
+        pytest.importorskip("hypothesis")
+        from hypothesis import given, settings, strategies as st
+
+        coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+        # zero entries are common, so zero pivots and row swaps are too
+        entry = st.one_of(st.just(Poly()), st.lists(coeff, max_size=4).map(Poly))
+        matrix = st.integers(1, 5).flatmap(
+            lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+        )
+
+        @settings(derandomize=True, max_examples=60, deadline=None)
+        @given(matrix)
+        def check(rows):
+            m = Matrix(rows)
+            assert det_fraction_free(m) == det_cofactor(m)
+
+        check()
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_product_denominators_match_sympy_resultants(self, d):
+        # For U = prod(1 - alpha_i x) the reversal y^m U(1/y) is prod(y - alpha_i),
+        # so sympy's Res_y(rev U(y), rev V(x - y)) = prod(x - (alpha_i + beta_j))
+        # and Res_y(rev U(y), y^n rev V(x/y)) = prod(x - alpha_i beta_j), which
+        # reverse to the two product denominators.
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        rng = random.Random(100 + d)
+
+        def rev(p, t):
+            return sum(sympy.Rational(c.numerator, c.denominator) * t ** (p.degree - i) for i, c in enumerate(p.coeffs))
+
+        def unrev(r):
+            return Poly([Fraction(int(c.p), int(c.q)) for c in sympy.Poly(r, x).all_coeffs()])
+
+        u = Poly([1]) + rand_poly(rng, d - 2).shift(1) + Poly.monomial(d, rng.choice([-3, -1, 2, 5]))
+        v = Poly([1]) + rand_rational_poly(rng, d - 2).shift(1) + Poly.monomial(d, Fraction(-2, 3))
+        hom_v = sympy.expand(y**d * rev(v, x / y))
+        assert binomial_denominator(u, v) == unrev(sympy.resultant(rev(u, y), rev(v, x - y), y))
+        assert hadamard_denominator(u, v) == unrev(sympy.resultant(rev(u, y), hom_v, y))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):

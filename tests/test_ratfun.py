@@ -78,6 +78,9 @@ class TestCanonicalForm:
             (RatFun(3), 3),
             (RatFun(Fraction(-2, 3)), Fraction(-2, 3)),
             (RatFun(Poly()), 0),
+            (RatFun(Poly([3])), Poly([3])),
+            (RatFun(Poly.x()), Poly.x()),
+            (RatFun(Poly([1, 0, Fraction(-1, 2)])), Poly([1, 0, Fraction(-1, 2)])),
             (BiPoly([Poly([2])]), Poly([2])),
             (BiPoly([Poly([0, 1])]), Poly([0, 1])),
             (BiPoly([Poly([2])]), 2),
@@ -89,6 +92,14 @@ class TestCanonicalForm:
         assert value == equal
         assert hash(value) == hash(equal)
         assert len({value, equal}) == 1
+
+    def test_polynomial_compares_with_a_function_both_ways(self):
+        x = Poly.x()
+        assert RatFun(x) == x and x == RatFun(x)
+        assert not RatFun(x) != x and not x != RatFun(x)
+        assert RatFun(x, Poly([1, -1])) != x and x != RatFun(x, Poly([1, -1]))
+        assert RatFun(Poly([1, 1])) != x
+        assert len({RatFun(3), 3, Poly([3])}) == 1
 
 
 class TestArithmetic:
