@@ -34,7 +34,7 @@ from .convolve import (
     hadamard_product,
 )
 from .errors import BinprodError, InternalInvariantViolation, InvalidInput, ParseError
-from .polycore import Poly, format_poly
+from .polycore import Poly, format_poly, _signed_sum
 from .ratfun import RatFun, Series, format_ratfun, reconstruct_rational
 from .record import Record
 from .seqlib import named_gf, run_identity_suite, sequence_descriptions
@@ -59,11 +59,6 @@ MAX_NESTING = 100
 
 class Token(Record):
     __slots__ = _fields = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "pos", pos)
 
 
 def tokenize(text: str) -> list[Token]:
@@ -106,16 +101,13 @@ def tokenize(text: str) -> list[Token]:
 
 
 class Expr(Record):
-    """Base of the syntax tree nodes; each subclass sets its fields in __init__."""
+    """Base of the syntax tree nodes; each subclass names its fields in _fields."""
 
     __slots__ = ()
 
 
 class Num(Expr):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, value: int):
-        object.__setattr__(self, "value", value)
 
 
 class Var(Expr):
@@ -124,33 +116,19 @@ class Var(Expr):
 
 class Seq(Expr):
     __slots__ = _fields = ("name", "args")
-
-    def __init__(self, name: str, args: tuple[Expr, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", args)
+    _defaults = {"args": ()}
 
 
 class Neg(Expr):
     __slots__ = _fields = ("operand",)
 
-    def __init__(self, operand: Expr):
-        object.__setattr__(self, "operand", operand)
-
 
 class Pow(Expr):
     __slots__ = _fields = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: int):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-
 
 class _Binary(Expr):
     __slots__ = _fields = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
 
 class Add(_Binary):
@@ -395,17 +373,15 @@ def _constant_param(value: RatFun, name: str) -> Fraction:
     return value.num.constant_term
 
 
-def _operands(e: Expr) -> tuple[Expr, ...]:
-    # a sequence evaluates its own arguments, which nest at most MAX_NESTING
-    if isinstance(e, (Num, Var, Seq)):
-        return ()
-    if isinstance(e, Neg):
-        return (e.operand,)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, _Binary):
-        return (e.left, e.right)
-    raise InvalidInput(f"not an expression node: {e!r}")
+def _operands(e: Expr) -> list[Expr]:
+    """The fields of node e that are nodes, in order.
+
+    A sequence's arguments are a tuple, not nodes: it evaluates them itself,
+    and they nest at most MAX_NESTING deep.
+    """
+    if type(e) not in _LEVELS:
+        raise InvalidInput(f"not an expression node: {e!r}")
+    return [v for name in e._fields if isinstance(v := getattr(e, name), Expr)]
 
 
 _ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
@@ -465,12 +441,9 @@ def _poly_strings(p: Poly) -> list[str]:
     return [str(c) for c in p.coeffs] or ["0"]
 
 
-def _emit_ratfun(f: RatFun, as_json: bool, extra: dict | None = None) -> None:
+def _emit_ratfun(f: RatFun, as_json: bool) -> None:
     if as_json:
-        payload = {"num": _poly_strings(f.num), "den": _poly_strings(f.den)}
-        if extra:
-            payload.update(extra)
-        print(json.dumps(payload))
+        print(json.dumps({"num": _poly_strings(f.num), "den": _poly_strings(f.den)}))
     else:
         print(format_ratfun(f))
 
@@ -580,29 +553,12 @@ def _cmd_recurrence(args) -> int:
             )
         )
         return 0
+    terms = _signed_sum((c, f"c(n-{j})") for j, c in enumerate(rec, start=1))
     print(f"order: {order}")
-    if order == 0:
-        print(f"c(n) = 0 for n >= {start}")
-    else:
-        print(f"c(n) = {_format_recurrence(rec)} for n >= {start}")
+    print(f"c(n) = {terms} for n >= {start}")
     if initial:
         print("initial: " + ", ".join(str(c) for c in initial))
     return 0
-
-
-def _format_recurrence(rec: list[Fraction]) -> str:
-    parts = []
-    for j, c in enumerate(rec, start=1):
-        if c == 0:
-            continue
-        term = f"c(n-{j})" if abs(c) == 1 else f"{abs(c)}*c(n-{j})"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    if not parts:
-        return "0"
-    return " ".join(parts)
 
 
 def _cmd_sequences(args) -> int:

@@ -125,10 +125,6 @@ class ProductPlan(Record):
 
     __slots__ = _fields = ("den_bound", "num_deg_bound")
 
-    def __init__(self, den_bound: Poly, num_deg_bound: int):
-        object.__setattr__(self, "den_bound", den_bound)
-        object.__setattr__(self, "num_deg_bound", num_deg_bound)
-
 
 def _cross_denominator(method: str, kind: str) -> Callable[[Poly, Poly], Poly]:
     if method == "resultant":
@@ -378,7 +374,7 @@ def komatsu_decompose(r: RatFun, s: RatFun) -> tuple[Poly, Poly]:
     order = 20
     columns = [f.expand(order).coeffs for f in basis]
     rows = [[col[n] for col in columns] for n in range(order)]
-    sol = solve_exact(rows, list(target.expand(order).coeffs), Fraction(0))
+    sol = solve_exact(rows, list(target.expand(order).coeffs))
     if sol is None:
         raise InternalInvariantViolation("decomposition system is inconsistent")
     u, v = Poly(sol[:3]), Poly(sol[3:])

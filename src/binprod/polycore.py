@@ -2,10 +2,9 @@
 
 The ground field is Q, represented by `fractions.Fraction` (already reduced,
 positive denominator, arbitrary precision).  Dense univariate arithmetic
-(trimmed storage, +, -, *, **, divmod, pseudo-division, exact division,
-monic) is written once, in `_DensePoly`, for any coefficient ring; a
-subclass names only its ring, by a zero element and a coefficient
-coercion.  The two rings are
+(trimmed storage, +, -, *, **, divmod, pseudo-division, monic) is written
+once, in `_DensePoly`, for any coefficient ring; a subclass names only its
+ring, by a zero element and a coefficient coercion.  The two rings are
 
 * `Poly`       Q[x], with calculus, content and formatting on top,
 * `BiPoly`     Q[x][y], polynomials in an auxiliary variable y whose
@@ -272,13 +271,6 @@ class _DensePoly:
                 rem[k : k + n] = [lead * d for d in rem[k : k + n]]
         return self._make(quo), self._make(rem[:n]), top + 1
 
-    def exact_div(self, other):
-        """Quotient self/other, raising DivisibilityError unless it is exact."""
-        q, r = divmod(self, other)
-        if r:
-            raise DivisibilityError(f"{self} is not divisible by {other}")
-        return q
-
     def monic(self):
         """self over its leading coefficient; zero stays zero."""
         if not self.coeffs:
@@ -342,7 +334,7 @@ class Poly(_DensePoly):
         """
         o = self._lift(other)
         if o is None:
-            return super().exact_div(other)
+            raise TypeError(f"cannot divide a Poly by {type(other).__name__}")
         if not o.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         sa = lcm(*(c.denominator for c in self.coeffs))
@@ -401,23 +393,30 @@ def format_poly(p: Poly) -> str:
     The output re-parses in the expression language of the command line
     interface to the same polynomial.
     """
-    if p.is_zero():
-        return "0"
+    return _signed_sum((c, "x" if i == 1 else f"x^{i}" if i else "") for i, c in enumerate(p.coeffs))
+
+
+def _signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
+    """Join (coefficient, unit) pairs into ``c*unit`` terms with signs.
+
+    Zero terms are skipped, a coefficient of 1 or -1 before a unit prints as
+    its sign, an empty unit prints the bare coefficient, and no terms print
+    as ``0``: ``1 - 6*x + x^2``.
+    """
     pieces = []
-    for i, c in enumerate(p.coeffs):
+    for c, unit in terms:
         if not c:
             continue
         mag = -c if c < 0 else c
-        if i == 0:
+        if not unit:
             body = str(mag)
         else:
-            v = "x" if i == 1 else f"x^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
+            body = unit if mag == 1 else f"{mag}*{unit}"
         if not pieces:
             pieces.append(body if c > 0 else "-" + body)
         else:
             pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
+    return "".join(pieces) or "0"
 
 
 _GCD_PRIME = (1 << 61) - 1
@@ -859,18 +858,17 @@ def _row_reduce(rows: Sequence[Sequence], rhs: Sequence):
     return aug, pivots, consistent
 
 
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence, zero):
-    """One exact solution of rows * v = rhs, or None if inconsistent.
+def solve_exact(rows: Sequence[Sequence], rhs: Sequence):
+    """One exact solution of rows * v = rhs over Fraction, or None if inconsistent.
 
-    Free variables are set to zero.  Works over Fraction or any field type
-    with the same operator protocol.
+    Free variables are set to zero.
     """
     if len(rows) != len(rhs):
         raise InvalidInput("matrix and right-hand side sizes differ")
     aug, pivots, consistent = _row_reduce(rows, rhs)
     if not consistent:
         return None
-    sol = [zero] * (len(rows[0]) if rows else 0)
+    sol = [Fraction(0)] * (len(rows[0]) if rows else 0)
     for i, col in enumerate(pivots):
         sol[col] = aug[i][-1]
     return sol

@@ -404,7 +404,7 @@ def reconstruct_rational(s: Series, max_den_deg: int, max_num_deg: int) -> RatFu
         for n in eq_range:
             rows.append([c[n - j] if j <= n else zero for j in range(1, d + 1)])
             rhs.append(-c[n])
-        sol = solve_exact(rows, rhs, zero)
+        sol = solve_exact(rows, rhs)
         if sol is None:
             continue
         # the solved equations say den * s has no terms beyond max_num_deg

@@ -40,11 +40,6 @@ class NamedGF(Record):
 
     __slots__ = _fields = ("name", "params", "gf")
 
-    def __init__(self, name: str, params: tuple[Fraction, ...], gf: RatFun):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "gf", gf)
-
 
 def _fib_gf() -> RatFun:
     return RatFun(Poly.x(), Poly([1, -1, -1]))
@@ -181,16 +176,7 @@ class IdentityCheck(Record):
     """Outcome of one identity: exact pass/fail plus a failure witness."""
 
     __slots__ = _fields = ("id", "slug", "description", "params", "status", "witness")
-
-    def __init__(
-        self, id: str, slug: str, description: str, params: str, status: str, witness: str = ""
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "slug", slug)
-        object.__setattr__(self, "description", description)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
+    _defaults = {"witness": ""}
 
     @property
     def passed(self) -> bool:
@@ -199,9 +185,6 @@ class IdentityCheck(Record):
 
 class IdentityReport(Record):
     __slots__ = _fields = ("checks",)
-
-    def __init__(self, checks: tuple[IdentityCheck, ...]):
-        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
@@ -220,30 +203,21 @@ class IdentityReport(Record):
         return "\n".join(lines)
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "id": c.id,
-                "slug": c.slug,
-                "description": c.description,
-                "params": c.params,
-                "status": c.status,
-                "witness": c.witness,
-            }
-            for c in self.checks
-        ]
+        return [dict(zip(IdentityCheck._fields, c._values())) for c in self.checks]
 
 
 _ORDER = 40
 DEFAULT_SEED = "binprod-identity-suite"
 
 
-def _eq(lhs: RatFun, rhs: RatFun) -> bool:
-    # reduced equality plus a redundant coefficientwise layer to order 40
-    return lhs == rhs and lhs.expand(_ORDER) == rhs.expand(_ORDER)
+def _expect(failures: list[str], label: str, lhs: RatFun, rhs: RatFun) -> None:
+    """Append a witness for label to failures unless lhs equals rhs.
 
-
-def _mismatch(label: str, lhs: RatFun, rhs: RatFun) -> str:
-    return f"{label}: {lhs} != {rhs}"
+    Equal means equal as reduced functions and, as a redundant second layer,
+    coefficientwise to order 40.
+    """
+    if not (lhs == rhs and lhs.expand(_ORDER) == rhs.expand(_ORDER)):
+        failures.append(f"{label}: {lhs} != {rhs}")
 
 
 def _geometric_block(c) -> RatFun:
@@ -257,10 +231,8 @@ def _check_church_bicknell(gfs, rng) -> tuple[str, list[str]]:
     display = RatFun(Poly([0, 0, 2]), Poly([1, -3, -2, 4]))
     rhs = (lucas.compose_scale(2) - _geometric_block(2)) / 5
     failures = []
-    if not _eq(prod, display):
-        failures.append(_mismatch("fib (.) fib vs display", prod, display))
-    if not _eq(prod, rhs):
-        failures.append(_mismatch("fib (.) fib vs (L(2x) - 2/(1-x))/5", prod, rhs))
+    _expect(failures, "fib (.) fib vs display", prod, display)
+    _expect(failures, "fib (.) fib vs (L(2x) - 2/(1-x))/5", prod, rhs)
     return "no parameters", failures
 
 
@@ -272,8 +244,7 @@ def _check_generalized_cb(gfs, rng) -> tuple[str, list[str]]:
             f.compose_scale(fib_number(p - 1)), f.compose_scale(fib_number(p + 1))
         )
         rhs = lucas.compose_scale(lucas_number(p)) - lucas_multisection(p, 0)
-        if not _eq(lhs, rhs):
-            failures.append(_mismatch(f"p={p}", lhs, rhs))
+        _expect(failures, f"p={p}", lhs, rhs)
     return "p in {-3..5}", failures
 
 
@@ -283,10 +254,8 @@ def _check_even_binomial(gfs, rng) -> tuple[str, list[str]]:
     display = RatFun(Poly([0, 1, -1]), Poly([1, -2, -3, 4, -1]))
     rhs = (fibonacci_multisection(2, 0) - f.compose_scale(-1)) / 2
     failures = []
-    if not _eq(lhs, display):
-        failures.append(_mismatch("fib (.) 1/(1-x^2) vs display", lhs, display))
-    if not _eq(lhs, rhs):
-        failures.append(_mismatch("vs (F(2n) - F(-x))/2 form", lhs, rhs))
+    _expect(failures, "fib (.) 1/(1-x^2) vs display", lhs, display)
+    _expect(failures, "vs (F(2n) - F(-x))/2 form", lhs, rhs)
     return "no parameters", failures
 
 
@@ -299,10 +268,8 @@ def _check_fib_squares_conv(gfs, rng) -> tuple[str, list[str]]:
     )
     rhs = lucas_multisection(2, 0) - 2 * lucas.compose_scale(-2) + lucas.compose_scale(3)
     failures = []
-    if not _eq(lhs, display):
-        failures.append(_mismatch("(F^2) (.) 10/(1-5x^2) vs display", lhs, display))
-    if not _eq(lhs, rhs):
-        failures.append(_mismatch("vs L(2n) + (3^n + (-2)^(n+1)) L_n form", lhs, rhs))
+    _expect(failures, "(F^2) (.) 10/(1-5x^2) vs display", lhs, display)
+    _expect(failures, "vs L(2n) + (3^n + (-2)^(n+1)) L_n form", lhs, rhs)
     return "no parameters", failures
 
 
@@ -314,8 +281,7 @@ def _check_second_order_self(gfs, rng) -> tuple[str, list[str]]:
         g = _g_gf(_fr(a), _fr(b))
         lhs = binomial_product(g, g)
         rhs = RatFun(Poly([2]), Poly([1, -a])) + g.compose_scale(2)
-        if not _eq(lhs, rhs):
-            failures.append(_mismatch(f"(a,b)=({a},{b})", lhs, rhs))
+        _expect(failures, f"(a,b)=({a},{b})", lhs, rhs)
     return "(a,b) in {(1,1),(1,2),(2,1)} plus 5 seeded draws from [-4,4]^2", failures
 
 
@@ -327,28 +293,22 @@ def _check_komatsu(gfs, rng) -> tuple[str, list[str]]:
     d2 = Poly([1, -2, 0, 2])
     dneg = Poly([1, 1, -1, 1])  # D(-x)
     display = RatFun(Poly([0, 0, 2, -2, -2, -4]), Poly([1, -4, 0, 2, 12, -8, -16]))
-    if not _eq(tt, display):
-        failures.append(_mismatch("t (.) t vs sextic display", tt, display))
+    _expect(failures, "t (.) t vs sextic display", tt, display)
     split = RatFun(Poly([1, 1, 10]), 11 * d1) - RatFun(Poly([1, 1, -8]), 11 * d2)
-    if not _eq(tt, split):
-        failures.append(_mismatch("t (.) t vs two-term split", tt, split))
+    _expect(failures, "t (.) t vs two-term split", tt, split)
     geom = RatFun.geometric(1)
     aux_lhs = RatFun(Poly([1, 1, -8]), d2)
     aux_rhs = binomial_product(geom, RatFun(Poly([1, 3, -6]), dneg))
-    if not _eq(aux_lhs, aux_rhs):
-        failures.append(_mismatch("auxiliary product", aux_lhs, aux_rhs))
+    _expect(failures, "auxiliary product", aux_lhs, aux_rhs)
     shifted = named_gf("trib", (1, -2, -7)).gf.compose_scale(-1)
-    if not _eq(RatFun(Poly([1, 3, -6]), dneg), shifted):
-        failures.append(_mismatch("signed shifted tribonacci", RatFun(Poly([1, 3, -6]), dneg), shifted))
+    _expect(failures, "signed shifted tribonacci", RatFun(Poly([1, 3, -6]), dneg), shifted)
     negated = -(named_gf("trib", (-1, 2, 7)).gf.compose_scale(-1))
-    if not _eq(RatFun(Poly([1, 3, -6]), dneg), negated):
-        failures.append(_mismatch("negated shifted tribonacci", RatFun(Poly([1, 3, -6]), dneg), negated))
+    _expect(failures, "negated shifted tribonacci", RatFun(Poly([1, 3, -6]), dneg), negated)
     full = (
         named_gf("trib", (2, 3, 10)).gf.compose_scale(2)
         + 2 * binomial_product(named_gf("trib", (-1, 2, 7)).gf.compose_scale(-1), geom)
     ) / 22
-    if not _eq(tt, full):
-        failures.append(_mismatch("full closed form", tt, full))
+    _expect(failures, "full closed form", tt, full)
     u, v = komatsu_decompose(t, t)
     want_u = Poly([Fraction(1, 11), Fraction(1, 11), Fraction(10, 11)])
     want_v = Poly([Fraction(-1, 11), Fraction(-3, 11), Fraction(6, 11)])
@@ -365,10 +325,8 @@ def _check_perrin_family(gfs, rng) -> tuple[str, list[str]]:
         Poly([3, 0, -11, -15, 4, 4]), Poly([1, 0, -5, -7, 4, 4, -8])
     )
     rhs = perrin.compose_scale(2) + 2 * perrin.compose_scale(-1)
-    if not _eq(prod, display):
-        failures.append(_mismatch("P (.) P vs display", prod, display))
-    if not _eq(prod, rhs):
-        failures.append(_mismatch("P (.) P vs P(2x) + 2P(-x)", prod, rhs))
+    _expect(failures, "P (.) P vs display", prod, display)
+    _expect(failures, "P (.) P vs P(2x) + 2P(-x)", prod, rhs)
     u, v = komatsu_decompose(perrin, perrin)
     if u != Poly([3, 0, -4]) or v != Poly([6, 0, -2]):
         failures.append(f"decomposition: got u={u}, v={v}")
@@ -376,8 +334,7 @@ def _check_perrin_family(gfs, rng) -> tuple[str, list[str]]:
         q = _q_gf(_fr(a))
         lhs = binomial_product(q, q)
         rhs = q.compose_scale(2) + 2 * q.compose_scale(-1)
-        if not _eq(lhs, rhs):
-            failures.append(_mismatch(f"a={a}", lhs, rhs))
+        _expect(failures, f"a={a}", lhs, rhs)
     return "a in {-2..3} minus 0", failures
 
 
@@ -386,8 +343,7 @@ def _check_jacobsthal(gfs, rng) -> tuple[str, list[str]]:
     lhs = 3 * binomial_product(j, j)
     rhs = j.compose_scale(2) + 2 * j.compose_scale(-1)
     failures = []
-    if not _eq(lhs, rhs):
-        failures.append(_mismatch("3 J (.) J vs J(2x) + 2J(-x)", lhs, rhs))
+    _expect(failures, "3 J (.) J vs J(2x) + 2J(-x)", lhs, rhs)
     return "no parameters", failures
 
 
@@ -396,8 +352,7 @@ def _check_quartic(gfs, rng) -> tuple[str, list[str]]:
     lhs = binomial_product(r, r)
     rhs = (r.compose_scale(2) + perrin.compose_poly(Poly([0, 0, 4]))) / 4
     failures = []
-    if not _eq(lhs, rhs):
-        failures.append(_mismatch("R (.) R vs (R(2x) + P(4x^2))/4", lhs, rhs))
+    _expect(failures, "R (.) R vs (R(2x) + P(4x^2))/4", lhs, rhs)
     return "no parameters", failures
 
 
@@ -412,8 +367,7 @@ def _check_hadamard_second_order(gfs, rng) -> tuple[str, list[str]]:
             Poly([0, 1, 0, -b * d]),
             Poly([1, -a * c, -(a * a * d + b * c * c + 2 * b * d), -a * b * c * d, b * b * d * d]),
         )
-        if not _eq(lhs, rhs):
-            failures.append(_mismatch(f"(a,b,c,d)=({a},{b},{c},{d})", lhs, rhs))
+        _expect(failures, f"(a,b,c,d)=({a},{b},{c},{d})", lhs, rhs)
     return "10 seeded integer tuples from [-3,3]^4", failures
 
 
@@ -424,10 +378,8 @@ def _check_fib_squares_hadamard(gfs, rng) -> tuple[str, list[str]]:
     quartic = RatFun(Poly([0, 1, 0, -1]), Poly([1, -1, -4, -1, 1]))
     cubic = RatFun(Poly([0, 1, -1]), Poly([1, -2, -2, 1]))
     failures = []
-    if not _eq(prod, cubic):
-        failures.append(_mismatch("F * F vs reduced display", prod, cubic))
-    if not _eq(prod, quartic):
-        failures.append(_mismatch("F * F vs unreduced display", prod, quartic))
+    _expect(failures, "F * F vs reduced display", prod, cubic)
+    _expect(failures, "F * F vs unreduced display", prod, quartic)
     if prod.num != cubic.num or prod.den != cubic.den:
         failures.append(f"not in lowest terms: {prod}")
     return "no parameters", failures
@@ -443,13 +395,11 @@ def _check_worked_examples(gfs, rng) -> tuple[str, list[str]]:
         Poly([2, -11]).shift(2),
         Poly([1, -4]) * Poly([1, -5]) * Poly([1, -6]) * Poly([1, -7]),
     )
-    if not _eq(one, want):
-        failures.append(_mismatch("distinct-factor example", one, want))
+    _expect(failures, "distinct-factor example", one, want)
 
     two = binomial_product(RatFun(Poly.monomial(3), Poly([1, -1])), RatFun(Poly.one(), Poly([1, -2])))
     want = RatFun(Poly.monomial(3), Poly([1, -2]) ** 3 * Poly([1, -3]))
-    if not _eq(two, want):
-        failures.append(_mismatch("improper operand example", two, want))
+    _expect(failures, "improper operand example", two, want)
 
     three = binomial_product(
         RatFun(Poly.monomial(2), Poly([1, -1]) ** 2),
@@ -459,8 +409,7 @@ def _check_worked_examples(gfs, rng) -> tuple[str, list[str]]:
         Poly([6, -30, 49, -27]).shift(4),
         Poly([1, -1]) ** 2 * Poly([1, -2]) ** 2 * Poly([1, -3]) ** 3,
     )
-    if not _eq(three, want):
-        failures.append(_mismatch("repeated-factor example", three, want))
+    _expect(failures, "repeated-factor example", three, want)
 
     u, v = Poly([1, -1, -1]), Poly([1, -2, -1])
     det = det_fraction_free(sylvester(sub_one_minus_y(u), sub_x_over_y(v)))
@@ -469,8 +418,7 @@ def _check_worked_examples(gfs, rng) -> tuple[str, list[str]]:
 
     prod = binomial_product(gfs["fib"], gfs["pell"])
     want = RatFun(Poly([0, 0, 2, -3]), Poly([1, -6, 7, 6, -9]))
-    if not _eq(prod, want):
-        failures.append(_mismatch("Fibonacci-Pell product", prod, want))
+    _expect(failures, "Fibonacci-Pell product", prod, want)
     return "no parameters", failures
 
 

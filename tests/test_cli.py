@@ -176,6 +176,11 @@ class TestEvaluation:
         with pytest.raises(NotAPowerSeries):
             evaluate_text("1/x")
 
+    @pytest.mark.parametrize("value", ["fib", 3, None, cli.Expr(), cli._Binary(Num(1), Var())], ids=repr)
+    def test_only_nodes_evaluate(self, value):
+        with pytest.raises(InvalidInput, match="not an expression node"):
+            cli.evaluate(value)
+
 
 class TestMainCommand:
     def test_eval_and_exit_codes(self, capsys):
@@ -349,6 +354,19 @@ class TestMainCommand:
             "c(n) = 6*c(n-1) - 7*c(n-2) - 6*c(n-3) + 9*c(n-4) for n >= 4",
             "initial: 0, 0, 2, 9",
         ]
+
+    @pytest.mark.parametrize(
+        "expr, line",
+        [
+            ("1/(1 - x/2 + x^2)", "c(n) = 1/2*c(n-1) - c(n-2) for n >= 2"),
+            ("1/(1+x)", "c(n) = -c(n-1) for n >= 1"),
+            ("x/(1 + x/3 - x^2 + 5x^3/7)", "c(n) = -1/3*c(n-1) + c(n-2) - 5/7*c(n-3) for n >= 3"),
+            ("1/(1-x^3)", "c(n) = c(n-3) for n >= 3"),
+        ],
+    )
+    def test_recurrence_signs_and_rational_coefficients(self, capsys, expr, line):
+        assert main(["recurrence", expr]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == line
 
     def test_recurrence_polynomial(self, capsys):
         assert main(["recurrence", "x^2"]) == 0

@@ -84,16 +84,39 @@ class TestConstruction:
 
     def test_keyword_construction_and_field_order(self):
         assert Token(kind="name", text="fib", pos=0) == Token("name", "fib", 0)
+        assert Token(pos=0, text="fib", kind="name") == Token("name", "fib", 0)
         assert Seq(name="g", args=(A,)) == Seq("g", (A,))
-        assert Pow(base=B, exponent=2) == Pow(B, 2)
+        assert Pow(base=B, exponent=2) == Pow(B, 2) == Pow(B, exponent=2)
         assert Add(right=B, left=A) == Add(A, B)
         assert ProductPlan(num_deg_bound=1, den_bound=Poly.one()) == ProductPlan(Poly.one(), 1)
         assert CHECK._fields == ("id", "slug", "description", "params", "status", "witness")
         assert NamedGF._fields == ("name", "params", "gf")
-        with pytest.raises(TypeError):
-            Var(1)
-        with pytest.raises(TypeError):
-            Num()
+
+    def test_defaults_by_keyword(self):
+        assert Seq(name="fib") == Seq("fib", ())
+        check = IdentityCheck(status="pass", params="p", description="d", slug="s", id="a")
+        assert check == IdentityCheck("a", "s", "d", "p", "pass", "")
+        assert IdentityCheck("a", "s", "d", "p", "fail", witness="w").witness == "w"
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Var(1), "takes 0 fields, got 1"),
+            (lambda: Num(1, 2), "takes 1 fields, got 2"),
+            (lambda: Seq("g", (), 3), "takes 2 fields, got 3"),
+            (lambda: Num(), "missing fields value"),
+            (lambda: Pow(B), "missing fields exponent"),
+            (lambda: Token(text="+"), "missing fields kind, pos"),
+            (lambda: IdentityCheck("a", "s", "d", "p"), "missing fields status"),
+            (lambda: Num(val=1), "no field 'val'"),
+            (lambda: Seq("g", argz=()), "no field 'argz'"),
+            (lambda: Num(1, value=1), "field 'value' twice"),
+            (lambda: Add(A, left=B), "field 'left' twice"),
+        ],
+    )
+    def test_bad_calls_raise_type_error(self, build, message):
+        with pytest.raises(TypeError, match=message):
+            build()
 
     def test_repr_names_the_fields(self):
         node = Add(Num(1), Seq("fib"))
@@ -102,6 +125,20 @@ class TestConstruction:
         assert repr(Token("end", "", 5)) == "Token(kind='end', text='', pos=5)"
         namespace = {cls.__name__: cls for cls in (Add, Num, Seq)}
         assert eval(repr(node), namespace) == node
+
+    def test_fields_are_set_by_record_alone(self):
+        # every class takes its fields in _fields order, which __reduce__ relies on
+        classes, todo = [], [Record]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                if cls.__module__.startswith("binprod."):
+                    classes.append(cls)
+                    todo.append(cls)
+        assert not [cls for cls in classes if "__init__" in vars(cls)]
+        leaves = {cls for cls in classes if not cls.__subclasses__()}
+        assert leaves == {type(value) for value in INSTANCES}
+        for value in INSTANCES:
+            assert type(value)(*value._values()) == value
 
     def test_class_layout(self):
         for value in INSTANCES:

@@ -171,6 +171,21 @@ class TestIdentitySuite:
         assert by_id["j"].status == "pass"
         assert by_id["k"].status == "pass"
 
+    def test_witness_text(self):
+        wrong = RatFun(Poly([2, -1]), Poly([1, -1, -2]))
+        report = run_identity_suite(only="a", overrides={"lucas": wrong})
+        assert report.to_text().splitlines() == [
+            "[FAIL] (a) church-bicknell [no parameters]",
+            "       binomial self-convolution of Fibonacci equals (2^n L_n - 2)/5",
+            "       witness: fib (.) fib vs (L(2x) - 2/(1-x))/5: (2*x^2) / (1 - 3*x - 2*x^2 + 4*x^3)"
+            " != (18/5*x^2) / (1 - 3*x - 6*x^2 + 8*x^3)",
+            "0/1 identity groups verified exactly",
+        ]
+        [record] = report.to_records()
+        assert list(record) == ["id", "slug", "description", "params", "status", "witness"]
+        assert record["status"] == "fail"
+        assert record["witness"] == report.checks[0].witness
+
     def test_perturbed_tribonacci_fails_decomposition_check(self):
         wrong = RatFun(Poly([0, 1, 1]), Poly([1, -1, -1, -1]))
         report = run_identity_suite(only="f", overrides={"trib": wrong})
