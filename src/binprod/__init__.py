@@ -10,7 +10,7 @@ reconstruction from series coefficients.
 
 This module exports the library that README documents; the internals of
 each route are imported from their modules, e.g.
-``from binprod.polycore import Matrix, det_fraction_free``.
+``from binprod.polycore import det_fraction_free, sylvester``.
 """
 
 from .errors import (

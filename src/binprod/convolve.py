@@ -44,6 +44,7 @@ from .errors import (
     InvalidInput,
 )
 from .polycore import (
+    BiPoly,
     Poly,
     lift_to_y,
     poly_gcd,
@@ -75,17 +76,7 @@ def binomial_denominator(uden: Poly, vden: Poly) -> Poly:
     prod(y - beta_j x).  Pairs with alpha_i + beta_j = 0 contribute a factor
     1, so the degree can fall below m*n.
     """
-    _check_denominator(uden)
-    _check_denominator(vden)
-    m, n = uden.degree, vden.degree
-    if m == 0 or n == 0:
-        return Poly.one()
-    r = resultant(sub_one_minus_y(uden), sub_x_over_y(vden))
-    if (m * n) % 2:
-        r = -r
-    if r.constant_term != 1:
-        raise InternalInvariantViolation("binomial denominator must have constant term 1")
-    return r
+    return _resultant_denominator(sub_one_minus_y, uden, vden)
 
 
 def hadamard_denominator(uden: Poly, vden: Poly) -> Poly:
@@ -94,22 +85,30 @@ def hadamard_denominator(uden: Poly, vden: Poly) -> Poly:
     Equals (-1)^(m n) Res_y( uden(y), y^n vden(x/y) ).  All reciprocal roots
     are nonzero, so the result has degree exactly m*n.
     """
-    _check_denominator(uden)
-    _check_denominator(vden)
-    m, n = uden.degree, vden.degree
-    if m == 0 or n == 0:
-        return Poly.one()
-    r = resultant(lift_to_y(uden), sub_x_over_y(vden))
-    if (m * n) % 2:
-        r = -r
-    if r.constant_term != 1 or r.degree != m * n:
-        raise InternalInvariantViolation("hadamard denominator must be monic-at-0 of degree m*n")
+    r = _resultant_denominator(lift_to_y, uden, vden)
+    if r.degree != uden.degree * vden.degree:
+        raise InternalInvariantViolation("hadamard denominator must have degree m*n")
     return r
 
 
-def _check_denominator(den: Poly) -> None:
-    if den.is_zero() or den.constant_term != 1:
-        raise InvalidInput("denominators must have constant term 1")
+def _resultant_denominator(substitute: Callable[[Poly], BiPoly], uden: Poly, vden: Poly) -> Poly:
+    """(-1)^(m n) Res_y( substitute(uden), y^n vden(x/y) ), or 1 when m n = 0.
+
+    m = deg(uden) and n = deg(vden); both must have constant term 1, and so
+    must the result.
+    """
+    for den in (uden, vden):
+        if den.is_zero() or den.constant_term != 1:
+            raise InvalidInput("denominators must have constant term 1")
+    m, n = uden.degree, vden.degree
+    if m == 0 or n == 0:
+        return Poly.one()
+    r = resultant(substitute(uden), sub_x_over_y(vden))
+    if (m * n) % 2:
+        r = -r
+    if r.constant_term != 1:
+        raise InternalInvariantViolation("product denominator must have constant term 1")
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .convolve import poly_bprod
 from .errors import CoprimalityViolation, InternalInvariantViolation, InvalidInput
-from .polycore import BiPoly, Poly, sub_one_minus_y, sub_x_over_y
+from .polycore import BiPoly, Poly, lift_to_y, sub_one_minus_y, sub_x_over_y
 from .ratfun import RatFun
 
 
@@ -125,8 +125,7 @@ def hadamard_proper_core(a: RatFun, b: RatFun) -> RatFun:
     first piece at t = 0.
     """
     n = b.den.degree
-    da = BiPoly(a.den.coeffs)
-    na = BiPoly(a.num.coeffs)
+    na, da = lift_to_y(a.num), lift_to_y(a.den)
     return _constant_term(na * sub_x_over_y(b.num, n), da, sub_x_over_y(b.den, n))
 
 

@@ -10,12 +10,13 @@ ring, by a zero element and a coefficient coercion.  The two rings are
 * `BiPoly`     Q[x][y], polynomials in an auxiliary variable y whose
                coefficients are `Poly` values in x; the `pfrac` module
                reads y as its t and runs the subresultant sequence
-               (Collins, J. ACM 14, 1967) on them by pseudo-division,
+               (Collins, J. ACM 14, 1967) on them by pseudo-division.
 
-and `Matrix` holds rectangular grids of `Poly` entries.  On top of them
-this module builds fraction-free (Bareiss) determinants, Sylvester matrices
-and resultants, and the y-substitutions that turn denominator products such
-as prod(1 - (alpha_i + beta_j) x) into a single resultant computation.
+A matrix is a list of rows, each a sequence of `Poly` or scalar entries.
+On top of these this module builds fraction-free (Bareiss) determinants,
+Sylvester matrices and resultants, and the y-substitutions that turn
+denominator products such as prod(1 - (alpha_i + beta_j) x) into a single
+resultant computation.
 
 The hot kernels leave `Fraction` for plain integers.  Determinants clear
 denominators row by row, pack each Z[x] entry into one integer by
@@ -44,7 +45,7 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import count
-from math import gcd as int_gcd, isqrt, lcm
+from math import comb, gcd as int_gcd, isqrt, lcm
 
 from .errors import DivisibilityError, InvalidInput
 
@@ -592,43 +593,6 @@ class BiPoly(_DensePoly):
         return f"BiPoly({terms})"
 
 
-class Matrix:
-    """An immutable rectangular matrix of `Poly` entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, rows: Iterable[Iterable]):
-        grid = [tuple(_as_poly(e) for e in row) for row in rows]
-        if grid:
-            width = len(grid[0])
-            if any(len(r) != width for r in grid):
-                raise InvalidInput("matrix rows must all have the same length")
-            if width == 0:
-                raise InvalidInput("matrix rows must be nonempty")
-        self.entries = tuple(grid)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, pos) -> Poly:
-        i, j = pos
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self) -> str:
-        body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
-        return f"Matrix({body})"
-
-
 def _zx_exact_div(a: list, b: list) -> list:
     """a / b in Z[x], raising DivisibilityError unless the quotient is in Z[x]."""
     if not a:
@@ -678,11 +642,12 @@ def _kronecker_unpack(v: int, w: int) -> list:
     return out
 
 
-def det_fraction_free(m: Matrix) -> Poly:
-    """Determinant by one-step fraction-free (Bareiss) elimination.
+def det_fraction_free(rows: Sequence[Sequence]) -> Poly:
+    """Determinant of a square matrix, given as rows of `Poly` or scalar entries.
 
-    Each row is multiplied by the lcm of the denominators of its
-    coefficients, so every entry becomes an integer polynomial, and the
+    One-step fraction-free (Bareiss) elimination.  Each entry is coerced to
+    a `Poly`, and each row is multiplied by the lcm of the denominators of
+    its coefficients, so every entry becomes an integer polynomial; the
     determinant of the scaled matrix is divided by the product of the row
     scales once, at the end.  The determinant of the empty (0x0) matrix is
     1.
@@ -705,26 +670,27 @@ def det_fraction_free(m: Matrix) -> Poly:
     guarantees over an integral domain; a remainder raises
     DivisibilityError.
 
-    >>> det_fraction_free(Matrix([[Poly([0, 1]), 2], [Poly([1, 1]), 1]]))
+    >>> det_fraction_free([[Poly([0, 1]), 2], [Poly([1, 1]), 1]])
     Poly('-2 - x')
     """
-    if m.nrows != m.ncols:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise InvalidInput("determinant requires a square matrix")
-    n = m.nrows
     if n == 0:
         return Poly.one()
-    rows = []
+    int_rows = []
     scale = bound = 1
-    for row in m.entries:
-        s = lcm(*(c.denominator for e in row for c in e.coeffs))
+    for row in rows:
+        coeffs = [_as_poly(e).coeffs for e in row]
+        s = lcm(*(c.denominator for e in coeffs for c in e))
         scale *= s
-        ints = [_scaled_numerators(e.coeffs, s) for e in row]
+        ints = [_scaled_numerators(e, s) for e in coeffs]
         norm2 = sum(sum(map(abs, e)) ** 2 for e in ints)
         if norm2 > 1:
             bound *= isqrt(norm2 - 1) + 1
-        rows.append(ints)
+        int_rows.append(ints)
     w = bound.bit_length() + 1
-    grid = [[_kronecker_pack(e, w) for e in row] for row in rows]
+    grid = [[_kronecker_pack(e, w) for e in row] for row in int_rows]
     prev = 1
     for k in range(n - 1):
         if not grid[k][k]:
@@ -749,8 +715,8 @@ def det_fraction_free(m: Matrix) -> Poly:
     return Poly([Fraction(c, scale) for c in _kronecker_unpack(grid[n - 1][n - 1], w)])
 
 
-def sylvester(a: BiPoly, b: BiPoly) -> Matrix:
-    """Sylvester matrix of a and b as polynomials in y.
+def sylvester(a: BiPoly, b: BiPoly) -> list[list[Poly]]:
+    """Sylvester matrix of a and b as polynomials in y, as a list of rows.
 
     With m = deg_y(a) and n = deg_y(b) the matrix is (m+n) x (m+n): first n
     shifted rows of a's y-coefficients in descending order, then m shifted
@@ -760,8 +726,6 @@ def sylvester(a: BiPoly, b: BiPoly) -> Matrix:
         raise InvalidInput("sylvester matrix requires nonzero polynomials")
     m, n = a.degree, b.degree
     size = m + n
-    if size == 0:
-        return Matrix(())
     a_desc = [a[m - k] for k in range(m + 1)]
     b_desc = [b[n - k] for k in range(n + 1)]
     rows = []
@@ -769,7 +733,7 @@ def sylvester(a: BiPoly, b: BiPoly) -> Matrix:
         rows.append([Poly()] * s + a_desc + [Poly()] * (size - m - 1 - s))
     for s in range(m):
         rows.append([Poly()] * s + b_desc + [Poly()] * (size - n - 1 - s))
-    return Matrix(rows)
+    return rows
 
 
 def resultant(a: BiPoly, b: BiPoly) -> Poly:
@@ -781,26 +745,34 @@ def resultant(a: BiPoly, b: BiPoly) -> Poly:
     return det_fraction_free(sylvester(a, b))
 
 
-def sub_one_minus_y(p: Poly, power: int | None = None) -> BiPoly:
-    """(1-y)^e * p(x/(1-y)) as a BiPoly, where e defaults to deg(p).
-
-    Expands to sum_i p_i x^i (1-y)^{e-i}; e may exceed deg(p) but not fall
-    short of it.  For p = prod(1 - alpha_i x) and e = deg(p) the result is
-    prod((1 - alpha_i x) - y), the left argument of the binomial-denominator
-    resultant.
-    """
+def _substitution_power(p: Poly, power: int | None) -> int:
+    """The power e of a y-substitution of p: deg(p) by default, never below it."""
     if p.is_zero():
         raise InvalidInput("substitution of the zero polynomial is not useful")
     e = p.degree if power is None else power
     if e < p.degree:
         raise InvalidInput("power must be at least deg(p)")
-    one_minus_y = BiPoly([Poly.one(), Poly([-1])])
-    acc = BiPoly()
-    for i, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        acc = acc + one_minus_y ** (e - i) * Poly.monomial(i, c)
-    return acc
+    return e
+
+
+def sub_one_minus_y(p: Poly, power: int | None = None) -> BiPoly:
+    """(1-y)^e * p(x/(1-y)) as a BiPoly, where e defaults to deg(p).
+
+    Expands to sum_i p_i x^i (1-y)^{e-i}, so the coefficient of y^k is
+    (-1)^k sum_i C(e-i, k) p_i x^i; e may exceed deg(p) but not fall short
+    of it.  For p = prod(1 - alpha_i x) and e = deg(p) the result is
+    prod((1 - alpha_i x) - y), the left argument of the binomial-denominator
+    resultant.
+
+    >>> sub_one_minus_y(Poly([1, -3]), 2)
+    BiPoly(y^0: 1 - 3*x, y^1: -2 + 3*x, y^2: 1)
+    """
+    e = _substitution_power(p, power)
+    out = []
+    for k in range(e + 1):
+        sign = -1 if k % 2 else 1
+        out.append(Poly._make([sign * comb(e - i, k) * c for i, c in enumerate(p.coeffs[: e - k + 1])]))
+    return BiPoly._make(out)
 
 
 def sub_x_over_y(p: Poly, power: int | None = None) -> BiPoly:
@@ -809,11 +781,7 @@ def sub_x_over_y(p: Poly, power: int | None = None) -> BiPoly:
     The coefficient of y^{e-j} is p_j x^j.  For p = prod(1 - beta_j x) and
     e = deg(p) the result is prod(y - beta_j x).
     """
-    if p.is_zero():
-        raise InvalidInput("substitution of the zero polynomial is not useful")
-    e = p.degree if power is None else power
-    if e < p.degree:
-        raise InvalidInput("power must be at least deg(p)")
+    e = _substitution_power(p, power)
     out = [Poly() for _ in range(e + 1)]
     for j, c in enumerate(p.coeffs):
         out[e - j] = Poly.monomial(j, c)
@@ -822,8 +790,7 @@ def sub_x_over_y(p: Poly, power: int | None = None) -> BiPoly:
 
 def lift_to_y(p: Poly) -> BiPoly:
     """p(y): the same coefficients read as constants in x."""
-    if p.is_zero():
-        raise InvalidInput("substitution of the zero polynomial is not useful")
+    _substitution_power(p, None)
     return BiPoly(p.coeffs)
 
 

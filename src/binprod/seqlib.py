@@ -3,8 +3,8 @@
 The registry holds the classical rational generating functions (Fibonacci,
 Lucas, Pell, tribonacci, Perrin, Jacobsthal, and a few parametric families)
 used by the command line and by `run_identity_suite`, which verifies a
-catalog of binomial-convolution and Hadamard-product identities exactly:
-once as reduced rational functions and again coefficientwise to order 40.
+catalog of binomial-convolution and Hadamard-product identities exactly,
+as equalities of reduced rational functions.
 
 Failures are reported as data rather than raised, so the suite can serve as
 a regression harness: a deliberately wrong generating function passed via
@@ -206,17 +206,16 @@ class IdentityReport(Record):
         return [dict(zip(IdentityCheck._fields, c._values())) for c in self.checks]
 
 
-_ORDER = 40
 DEFAULT_SEED = "binprod-identity-suite"
 
 
 def _expect(failures: list[str], label: str, lhs: RatFun, rhs: RatFun) -> None:
     """Append a witness for label to failures unless lhs equals rhs.
 
-    Equal means equal as reduced functions and, as a redundant second layer,
-    coefficientwise to order 40.
+    Equal means equal as reduced rational functions: `RatFun` equality
+    compares canonical (num, den) pairs, so every coefficient agrees too.
     """
-    if not (lhs == rhs and lhs.expand(_ORDER) == rhs.expand(_ORDER)):
+    if lhs != rhs:
         failures.append(f"{label}: {lhs} != {rhs}")
 
 

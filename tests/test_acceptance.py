@@ -27,7 +27,7 @@ from binprod import (
 )
 from binprod.cli import main
 from binprod.convolve import closed_form_bprod, closed_form_hprod
-from binprod.polycore import Matrix, det_fraction_free, sub_one_minus_y, sub_x_over_y, sylvester
+from binprod.polycore import det_fraction_free, sub_one_minus_y, sub_x_over_y, sylvester
 from binprod.ratfun import series_binomial, series_hadamard
 from binprod.seqlib import identity_ids
 from binprod.symfun import denominator_from_power_sums, power_sums
@@ -95,14 +95,12 @@ def test_criterion_02():
     v = Poly([1, -2, -1])
     m = sylvester(sub_one_minus_y(u), sub_x_over_y(v))
     zero = Poly()
-    assert m == Matrix(
-        [
-            [Poly([1]), Poly([-2, 1]), Poly([1, -1, -1]), zero],
-            [zero, Poly([1]), Poly([-2, 1]), Poly([1, -1, -1])],
-            [Poly([1]), Poly([0, -2]), Poly([0, 0, -1]), zero],
-            [zero, Poly([1]), Poly([0, -2]), Poly([0, 0, -1])],
-        ]
-    )
+    assert m == [
+        [Poly([1]), Poly([-2, 1]), Poly([1, -1, -1]), zero],
+        [zero, Poly([1]), Poly([-2, 1]), Poly([1, -1, -1])],
+        [Poly([1]), Poly([0, -2]), Poly([0, 0, -1]), zero],
+        [zero, Poly([1]), Poly([0, -2]), Poly([0, 0, -1])],
+    ]
     assert det_fraction_free(m) == Poly([1, -6, 7, 6, -9])
     announce(2, "worked 4x4 Sylvester determinant equals 1 - 6x + 7x^2 + 6x^3 - 9x^4")
 

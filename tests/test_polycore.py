@@ -10,7 +10,6 @@ from binprod import DivisibilityError, InvalidInput, Poly, RatFun
 from binprod.convolve import binomial_denominator, hadamard_denominator
 from binprod.polycore import (
     BiPoly,
-    Matrix,
     det_fraction_free,
     format_poly,
     lift_to_y,
@@ -47,17 +46,17 @@ def euclid_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def det_cofactor(m: Matrix) -> Poly:
+def det_cofactor(m: list) -> Poly:
     # textbook expansion along the first row; the independent oracle
-    n = m.nrows
+    n = len(m)
     if n == 0:
         return Poly.one()
     if n == 1:
-        return m[0, 0]
+        return m[0][0]
     total = Poly()
     for j in range(n):
-        minor = Matrix([[m[i, k] for k in range(n) if k != j] for i in range(1, n)])
-        term = m[0, j] * det_cofactor(minor)
+        minor = [[m[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = m[0][j] * det_cofactor(minor)
         total = total + term if j % 2 == 0 else total - term
     return total
 
@@ -354,15 +353,13 @@ class TestDeterminant:
     def test_matches_cofactor_expansion_on_numbers(self):
         rng = random.Random(23)
         for _ in range(15):
-            m = Matrix([[rng.randint(-6, 6) for _ in range(5)] for _ in range(5)])
+            m = [[rng.randint(-6, 6) for _ in range(5)] for _ in range(5)]
             assert det_fraction_free(m) == det_cofactor(m)
 
     def test_matches_cofactor_expansion_on_polynomials(self):
         rng = random.Random(29)
         for _ in range(10):
-            m = Matrix(
-                [[rand_poly(rng, rng.randint(0, 2), -3, 3) for _ in range(3)] for _ in range(3)]
-            )
+            m = [[rand_poly(rng, rng.randint(0, 2), -3, 3) for _ in range(3)] for _ in range(3)]
             assert det_fraction_free(m) == det_cofactor(m)
 
     def test_matches_cofactor_expansion_on_rational_entries(self):
@@ -370,25 +367,19 @@ class TestDeterminant:
         rng = random.Random(31)
         for _ in range(10):
             n = rng.randint(2, 5)
-            m = Matrix(
-                [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
-            )
+            m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
             assert det_fraction_free(m) == det_cofactor(m)
         for _ in range(8):
-            m = Matrix(
-                [[rand_rational_poly(rng, rng.randint(0, 2), -3, 3) for _ in range(3)] for _ in range(3)]
-            )
+            m = [[rand_rational_poly(rng, rng.randint(0, 2), -3, 3) for _ in range(3)] for _ in range(3)]
             assert det_fraction_free(m) == det_cofactor(m)
 
     def test_rational_zero_pivot_forces_row_swap(self):
         half, third = Fraction(1, 2), Fraction(1, 3)
-        m = Matrix(
-            [
-                [0, Poly([half, 1]), Fraction(3, 4)],
-                [third, Poly([0, -half]), 2],
-                [Poly([1, Fraction(-1, 4)]), 1, Poly([third])],
-            ]
-        )
+        m = [
+            [0, Poly([half, 1]), Fraction(3, 4)],
+            [third, Poly([0, -half]), 2],
+            [Poly([1, Fraction(-1, 4)]), 1, Poly([third])],
+        ]
         assert det_fraction_free(m) == det_cofactor(m)
         assert not det_fraction_free(m).is_zero()
 
@@ -396,60 +387,58 @@ class TestDeterminant:
         r0 = [Poly([Fraction(1, 2), 1]), Poly([Fraction(-2, 3)]), Poly([0, Fraction(3, 4)])]
         r1 = [Poly([1]), Poly([0, Fraction(1, 3)]), Poly([Fraction(5, 2)])]
         r2 = [Fraction(2, 3) * p + q * Poly([0, 1]) for p, q in zip(r0, r1)]
-        m = Matrix([r0, r1, r2])
+        m = [r0, r1, r2]
         assert det_cofactor(m) == Poly()
         assert det_fraction_free(m) == Poly()
 
     def test_repeated_row_gives_zero(self):
         row = [Poly([1, 1]), Poly([2]), Poly([0, 0, 1])]
         other = [Poly([1]), Poly([1]), Poly([1])]
-        m = Matrix([row, other, row])
+        m = [row, other, row]
         assert det_fraction_free(m) == Poly()
 
     def test_row_swap_flips_sign(self):
-        m = Matrix([[0, 1], [1, 0]])
+        m = [[0, 1], [1, 0]]
         assert det_fraction_free(m) == Poly([-1])
 
     def test_empty_matrix(self):
-        assert det_fraction_free(Matrix(())) == Poly.one()
+        assert det_fraction_free(()) == Poly.one()
 
     # A 4x4 Hadamard matrix meets the coefficient bound: every row has
     # 2-norm 2, so B = 2^4 = 16 = |det|.
     HADAMARD = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
 
     def test_hadamard_matrix_meets_the_bound(self):
-        m = Matrix(self.HADAMARD)
+        m = self.HADAMARD
         assert det_fraction_free(m) == det_cofactor(m) == Poly([16])
-        flipped = Matrix([[-c for c in self.HADAMARD[0]]] + self.HADAMARD[1:])
+        flipped = [[-c for c in self.HADAMARD[0]]] + self.HADAMARD[1:]
         assert det_fraction_free(flipped) == Poly([-16])
 
     def test_hadamard_matrix_of_monomials_meets_the_bound(self):
         # entry (i, j) is +-x^j, so det = x^(0+1+2+3) * 16; then the
         # exponents vary along rows too, spreading the terms over degrees
-        m = Matrix([[Poly.monomial(j, c) for j, c in enumerate(row)] for row in self.HADAMARD])
+        m = [[Poly.monomial(j, c) for j, c in enumerate(row)] for row in self.HADAMARD]
         assert det_fraction_free(m) == det_cofactor(m) == Poly.monomial(6, 16)
-        m = Matrix(
-            [[Poly.monomial((i * j) % 3, c) for j, c in enumerate(row)] for i, row in enumerate(self.HADAMARD)]
-        )
+        m = [[Poly.monomial((i * j) % 3, c) for j, c in enumerate(row)] for i, row in enumerate(self.HADAMARD)]
         assert det_fraction_free(m) == det_cofactor(m)
         assert max(abs(c) for c in det_fraction_free(m).coeffs) <= 16
 
     def test_negative_determinants(self):
-        assert det_fraction_free(Matrix([[1, 2], [1, 1]])) == Poly([-1])
+        assert det_fraction_free([[1, 2], [1, 1]]) == Poly([-1])
         x = Poly.x()
         # 1 - x^2: a negative leading coefficient above a positive constant
-        assert det_fraction_free(Matrix([[1, x], [x, 1]])) == Poly([1, 0, -1])
+        assert det_fraction_free([[1, x], [x, 1]]) == Poly([1, 0, -1])
         # negative digits on both sides of a positive one
-        m = Matrix([[Poly([-3, 2]), Poly([0, 5])], [Poly([1, 1]), Poly([2, -1])]])
+        m = [[Poly([-3, 2]), Poly([0, 5])], [Poly([1, 1]), Poly([2, -1])]]
         assert det_fraction_free(m) == det_cofactor(m) == Poly([-6, 2, -7])
 
     def test_rational_rows_force_a_later_row_swap(self):
         # the (1, 1) pivot vanishes after the first step, so row 2 moves up
         half, third = Fraction(1, 2), Fraction(1, 3)
-        m = Matrix([[1, half, 0], [2, 1, third], [0, Poly.x(), 1]])
+        m = [[1, half, 0], [2, 1, third], [0, Poly.x(), 1]]
         assert det_fraction_free(m) == det_cofactor(m) == Poly([0, -third])
         # and with the first column's pivot two rows down
-        m = Matrix([[0, half, Poly([0, third])], [0, Poly([1, half]), 2], [third, 1, Poly([Fraction(-1, 4), 1])]])
+        m = [[0, half, Poly([0, third])], [0, Poly([1, half]), 2], [third, 1, Poly([Fraction(-1, 4), 1])]]
         assert det_fraction_free(m) == det_cofactor(m)
         assert not det_fraction_free(m).is_zero()
 
@@ -467,8 +456,7 @@ class TestDeterminant:
         @settings(derandomize=True, max_examples=60, deadline=None)
         @given(matrix)
         def check(rows):
-            m = Matrix(rows)
-            assert det_fraction_free(m) == det_cofactor(m)
+            assert det_fraction_free(rows) == det_cofactor(rows)
 
         check()
 
@@ -496,7 +484,22 @@ class TestDeterminant:
 
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidInput):
-            det_fraction_free(Matrix([[1, 2, 3], [4, 5, 6]]))
+            det_fraction_free([[1, 2, 3], [4, 5, 6]])
+        with pytest.raises(InvalidInput):
+            det_fraction_free([[]])
+        with pytest.raises(InvalidInput):
+            det_fraction_free([[1, 2], [3]])
+
+    def test_rows_may_be_tuples_or_lists(self):
+        x = Poly.x()
+        want = Poly([1, 0, -1])
+        assert det_fraction_free([[1, x], [x, 1]]) == want
+        assert det_fraction_free(((1, x), (x, 1))) == want
+        assert det_fraction_free([(1, x), [x, Fraction(1)]]) == want
+        assert det_fraction_free([]) == det_fraction_free(()) == Poly.one()
+        # every entry is coerced to a Poly, so a float is rejected
+        with pytest.raises(InvalidInput):
+            det_fraction_free([[1, 0.5], [3, 4]])
 
 
 class TestResultant:
@@ -511,6 +514,11 @@ class TestResultant:
         a = lift_to_y(Poly([-2, 1]))
         b = lift_to_y(Poly([-1, -1, 1]))
         assert resultant(a, b) == Poly([1])
+
+    def test_constants_give_the_empty_matrix(self):
+        a, b = lift_to_y(Poly([3])), lift_to_y(Poly([Fraction(-1, 2)]))
+        assert sylvester(a, b) == []
+        assert resultant(a, b) == Poly.one()
 
     def test_shared_root_vanishes(self):
         a = lift_to_y(Poly([-1, 1]) * Poly([3, 1]))
@@ -547,6 +555,37 @@ class TestSubstitutions:
         assert bp[1] == Poly([-2, 3])
         assert bp[2] == Poly([1])
 
+    def test_one_minus_y_matches_expanding_powers(self):
+        # the oracle: sum_i p_i x^i (1-y)^(e-i), multiplied out in BiPoly
+        rng = random.Random(59)
+        one_minus_y = BiPoly([Poly.one(), Poly([-1])])
+        for _ in range(20):
+            deg = rng.randint(0, 6)
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * rng.randint(0, 1) for _ in range(deg)]
+            p = Poly(coeffs + [Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))])
+            for e in range(deg, deg + 4):
+                want = BiPoly()
+                for i, c in enumerate(p.coeffs):
+                    if c:
+                        want = want + one_minus_y ** (e - i) * Poly.monomial(i, c)
+                assert sub_one_minus_y(p, e) == want
+
+    def test_x_over_y_matches_its_definition(self):
+        # y^e p(x/y), evaluated at points with y != 0
+        def value(f, x0):
+            return sum(c * x0**i for i, c in enumerate(f.coeffs))
+
+        rng = random.Random(61)
+        for _ in range(20):
+            p = rand_rational_poly(rng, rng.randint(0, 6), -4, 4)
+            e = p.degree + rng.randint(0, 3)
+            bp = sub_x_over_y(p, e)
+            for _ in range(3):
+                x0 = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                y0 = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+                got = sum(value(c, x0) * y0**k for k, c in enumerate(bp.coeffs))
+                assert got == y0**e * value(p, x0 / y0)
+
     def test_x_over_y_substitution(self):
         bp = sub_x_over_y(Poly([1, -2, -1]))
         assert bp.degree == 2
@@ -566,14 +605,12 @@ class TestSubstitutions:
         v = Poly([1, -2, -1])
         m = sylvester(sub_one_minus_y(u), sub_x_over_y(v))
         zero = Poly()
-        assert m == Matrix(
-            [
-                [Poly([1]), Poly([-2, 1]), Poly([1, -1, -1]), zero],
-                [zero, Poly([1]), Poly([-2, 1]), Poly([1, -1, -1])],
-                [Poly([1]), Poly([0, -2]), Poly([0, 0, -1]), zero],
-                [zero, Poly([1]), Poly([0, -2]), Poly([0, 0, -1])],
-            ]
-        )
+        assert m == [
+            [Poly([1]), Poly([-2, 1]), Poly([1, -1, -1]), zero],
+            [zero, Poly([1]), Poly([-2, 1]), Poly([1, -1, -1])],
+            [Poly([1]), Poly([0, -2]), Poly([0, 0, -1]), zero],
+            [zero, Poly([1]), Poly([0, -2]), Poly([0, 0, -1])],
+        ]
         assert det_fraction_free(m) == Poly([1, -6, 7, 6, -9])
 
 

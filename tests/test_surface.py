@@ -39,7 +39,6 @@ PUBLIC = [
 INTERNAL = {
     "polycore": [
         "BiPoly",
-        "Matrix",
         "det_fraction_free",
         "format_poly",
         "lift_to_y",
