@@ -47,10 +47,7 @@ _NAME = "name"
 _OP = "op"
 _END = "end"
 
-# unicode spellings of the two series products
-_UNICODE_OPS = {"⊙": "obprod", "∗": "hprod"}
-_PRODUCT_WORDS = ("obprod", "hprod")
-_OP_CHARS = "+-*/^(),"
+_OP_CHARS = "+-*/^(),⊙∗"
 
 # deepest nesting of parentheses and unary minus signs that parses; the
 # parser recurses once per level
@@ -67,10 +64,6 @@ def tokenize(text: str) -> list[Token]:
     while i < n:
         ch = text[i]
         if ch.isspace():
-            i += 1
-            continue
-        if ch in _UNICODE_OPS:
-            tokens.append(Token(_NAME, _UNICODE_OPS[ch], i))
             i += 1
             continue
         if ch.isdigit():
@@ -159,9 +152,12 @@ class HProd(_Binary):
 # parser
 
 
+# the two series products, by word and by unicode operator
+_PRODUCTS = {"obprod": BProd, "hprod": HProd, "⊙": BProd, "∗": HProd}
+
+
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = tokenize(text)
         self.index = 0
         self.depth = 0
@@ -199,9 +195,7 @@ class _Parser:
     def _describe(self, tok: Token) -> str:
         if tok.kind == _END:
             return "end of input"
-        # a unicode product is tokenized as its word; name what was typed
-        typed = self.text[tok.pos]
-        return f"{tok.kind} {(typed if typed in _UNICODE_OPS else tok.text)!r}"
+        return f"{tok.kind} {tok.text!r}"
 
     def parse(self) -> Expr:
         node = self.parse_expr()
@@ -215,10 +209,9 @@ class _Parser:
     def parse_expr(self) -> Expr:
         # series products bind loosest and associate to the left
         node = self.parse_sum()
-        while self.peek().kind == _NAME and self.peek().text in _PRODUCT_WORDS:
-            word = self.advance().text
-            rhs = self.parse_sum()
-            node = BProd(node, rhs) if word == "obprod" else HProd(node, rhs)
+        while self.peek().text in _PRODUCTS:
+            product = _PRODUCTS[self.advance().text]
+            node = product(node, self.parse_sum())
         return node
 
     def parse_sum(self) -> Expr:
@@ -237,7 +230,7 @@ class _Parser:
                 self.advance()
                 rhs = self.parse_unary()
                 node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
-            elif tok.kind == _NAME and tok.text not in _PRODUCT_WORDS:
+            elif tok.kind == _NAME and tok.text not in _PRODUCTS:
                 node = Mul(node, self.parse_power())
             elif tok.kind == _OP and tok.text == "(":
                 node = Mul(node, self.parse_power())
@@ -274,7 +267,7 @@ class _Parser:
         if tok.kind == _NUMBER:
             self.advance()
             return Num(int(tok.text))
-        if tok.kind == _NAME and tok.text not in _PRODUCT_WORDS:
+        if tok.kind == _NAME and tok.text not in _PRODUCTS:
             self.advance()
             if tok.text == "x":
                 return Var()

@@ -23,7 +23,9 @@ denominators row by row, pack each Z[x] entry into one integer by
 Kronecker substitution x = 2^w, with w above a Hadamard bound on the
 coefficients of every minor, and eliminate on those integers (Bareiss,
 Math. Comp. 22, 1968); the result is unpacked from balanced base-2^w
-digits and divided by the row scales once at the end.  `Poly.exact_div`, the
+digits and divided by the row scales once at the end.  A `Poly` product
+clears both factors and convolves in Z[x], rescaling once; a one-term
+factor stays a scalar multiple.  `Poly.exact_div`, the
 division by a gcd in every fraction type, clears both operands and divides
 in Z[x] by the primitive part of the divisor, rescaling once.  `poly_gcd`
 is a modular gcd (Brown, J. ACM 18, 1971): it clears both arguments to
@@ -58,6 +60,26 @@ def _fr(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise InvalidInput(f"expected an integer or Fraction, got {value!r}")
+
+
+def _convolve(a: Sequence, b: Sequence) -> list:
+    """Schoolbook product of two nonempty coefficient sequences over any ring.
+
+    One row per term of the shorter sequence: a one-term factor is a plain
+    scalar multiple, and no coefficient is ever added to a zero.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    out = [c * b[0] for c in a]
+    last = a[-1]
+    for j in range(1, len(b)):
+        s = b[j]
+        if s:
+            out[j:] = [d + s * c for d, c in zip(out[j:], a)]
+            out.append(s * last)
+        else:
+            out.append(s)
+    return out
 
 
 class _DensePoly:
@@ -170,29 +192,12 @@ class _DensePoly:
         return o + (-self)
 
     def __mul__(self, other):
-        """Schoolbook product, one row per term of the shorter factor.
-
-        A one-term factor is a plain scalar multiple, and no coefficient is
-        ever added to a zero.
-        """
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        if not b:
+        if not self.coeffs or not o.coeffs:
             return self._make([])
-        s, last = b[0], len(a) - 1
-        out = [c * s for c in a]
-        for j in range(1, len(b)):
-            s = b[j]
-            if s:
-                out[j:] = [d + s * c for d, c in zip(out[j:], a)]
-                out.append(s * a[last])
-            else:
-                out.append(s)
-        return self._make(out)
+        return self._make(_convolve(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -312,6 +317,27 @@ class Poly(_DensePoly):
     @property
     def constant_term(self) -> Fraction:
         return self[0]
+
+    def __mul__(self, other):
+        """Product in Z[x], rescaled once.
+
+        With self = A/sa and other = B/sb for integer lists A and B, each
+        coefficient of A*B becomes one `Fraction` over sa*sb.  A one-term
+        factor stays a plain scalar multiple.
+        """
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.coeffs, o.coeffs
+        if len(a) <= 1 or len(b) <= 1:
+            return _DensePoly.__mul__(self, o)
+        sa = lcm(*(c.denominator for c in a))
+        sb = lcm(*(c.denominator for c in b))
+        scale = sa * sb
+        ints = _convolve(_scaled_numerators(a, sa), _scaled_numerators(b, sb))
+        return Poly._make([Fraction(c, scale) for c in ints])
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Division by a nonzero scalar only; use exact_div for polynomials."""
@@ -503,7 +529,8 @@ def _gfp_gcd(u: list, v: list, p: int) -> list:
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, b) is monic(b).
 
-    Raises InvalidInput when both arguments are zero.  Otherwise both are
+    Raises InvalidInput when both arguments are zero, and returns 1 at once
+    when either is a nonzero constant.  Otherwise both are
     cleared to primitive integer polynomials A and B, gamma = gcd(lc A, lc B),
     and the gcd is lifted from its images in GF(p)[x], for the primes p from
     2^61 - 1 downward that divide neither leading coefficient (Brown, J. ACM
@@ -533,6 +560,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise InvalidInput("gcd(0, 0) is undefined")
     if a.is_zero() or b.is_zero():
         return (a or b).monic()
+    if a.degree == 0 or b.degree == 0:
+        return Poly.one()
     int_a, int_b = _primitive_ints(a), _primitive_ints(b)
     lead_a, lead_b = int_a[-1], int_b[-1]
     gamma = int_gcd(lead_a, lead_b)

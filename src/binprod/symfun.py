@@ -19,6 +19,18 @@ computing a root (`denominator_from_power_sums`).  This is a second, fully
 independent route to the product denominators computed by resultants in
 `convolve`.
 
+The identities run on integers.  With L the lcm of the denominators of D's
+coefficients, D(Lx) = prod(1 - L alpha_i x) has integer coefficients and
+constant term 1, so the L alpha_i are algebraic integers: their power sums,
+and every coefficient of their product, are integers, and each division by
+k in Newton's identity is exact.  `denominator_via_symfun` takes the power
+sums of D_u(Lx) and D_v(Lx) with L = lcm(L_u, L_v) for the binomial product
+(sums of algebraic integers are algebraic integers), and of D_u(L_u x) and
+D_v(L_v x) for the Hadamard product, whose pairwise products are then
+scaled by L = L_u L_v.  Newton's identities then give the product
+denominator at Lx, and dividing its k-th coefficient by L^k, once, gives
+the product denominator.
+
 The two product denominators are the "composed sum" and "composed product"
 of the operand denominators, and computing them through power sums is the
 method of Bostan, Flajolet, Salvy and Schost, "Fast computation of special
@@ -28,6 +40,8 @@ resultants", J. Symbolic Comput. 41 (2006), 1-29.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import InternalInvariantViolation, InvalidInput
 from .polycore import Poly
@@ -53,16 +67,28 @@ def power_sums(den: Poly, upto: int) -> Series:
 def denominator_from_power_sums(p: Series) -> Poly:
     """prod(1 - alpha_i x) from the power sums p_0, p_1, ... of the alpha_i.
 
-    Newton's identity gives d_1, ..., d_k for k = len(p) - 1; the product is
-    exact when k is at least the number of roots.
+    The alpha_i must be algebraic integers, so that every p_k and every
+    coefficient d_k of the product is an integer.  Newton's identity gives
+    d_1, ..., d_k for k = len(p) - 1 on integers, with an exact division by
+    k at each step; the product is exact when k is at least the number of
+    roots.
+
+    Raises InvalidInput when a power sum is not an integer or a division by
+    k leaves a remainder: the alpha_i are then not algebraic integers.
 
     >>> fib, pell = power_sums(Poly([1, -1, -1]), 4), power_sums(Poly([1, -2, -1]), 4)
     >>> print(denominator_from_power_sums(series_hadamard(fib, pell)))
     1 - 2*x - 7*x^2 - 2*x^3 + x^4
     """
-    d = [Fraction(1)]
-    for k in range(1, len(p)):
-        d.append(-sum(p[i] * d[k - i] for i in range(1, k + 1)) / k)
+    if any(c.denominator != 1 for c in p):
+        raise InvalidInput("power sums of algebraic integers must be integers")
+    ints = [c.numerator for c in p]
+    d = [1]
+    for k in range(1, len(ints)):
+        q, r = divmod(-sum(map(mul, ints[1 : k + 1], reversed(d))), k)
+        if r:
+            raise InvalidInput(f"Newton's identity is inexact at d_{k}: the roots are not algebraic integers")
+        d.append(q)
     return Poly(d)
 
 
@@ -72,7 +98,8 @@ def denominator_via_symfun(uden: Poly, vden: Poly, kind: str) -> Poly:
     kind is "binomial" for sums of roots, "hadamard" for products.  Power
     sums are carried up to m*n, which determines every elementary symmetric
     function of the m*n pairwise values.  Root-free throughout: only Newton's
-    identities and exact rational arithmetic.
+    identities, on the power sums of the reciprocal roots scaled to
+    algebraic integers, and exact integer arithmetic.
     """
     if kind not in ("binomial", "hadamard"):
         raise InvalidInput(f"unknown kind {kind!r}")
@@ -82,8 +109,14 @@ def denominator_via_symfun(uden: Poly, vden: Poly, kind: str) -> Poly:
     m, n = uden.degree, vden.degree
     if m == 0 or n == 0:
         return Poly.one()
-    combine = series_binomial if kind == "binomial" else series_hadamard
-    pp = combine(power_sums(uden, m * n), power_sums(vden, m * n))
+    lu, lv = (lcm(*(c.denominator for c in d.coeffs)) for d in (uden, vden))
+    if kind == "binomial":
+        combine = series_binomial
+        lu = lv = scale = lcm(lu, lv)
+    else:
+        combine, scale = series_hadamard, lu * lv
+    pp = combine(power_sums(uden.scale_arg(lu), m * n), power_sums(vden.scale_arg(lv), m * n))
     if pp[0] != m * n:
         raise InternalInvariantViolation("combined p_0 must be m*n")
-    return denominator_from_power_sums(pp)
+    d = denominator_from_power_sums(pp).coeffs
+    return Poly._make([Fraction(c.numerator, scale**k) for k, c in enumerate(d)])

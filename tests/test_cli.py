@@ -63,11 +63,11 @@ CORPUS = [
 
 
 class TestTokenizer:
-    def test_unicode_operators_become_keywords(self):
+    def test_unicode_operators_are_operator_tokens(self):
         toks = tokenize("fib ⊙ pell")
-        assert [t.text for t in toks[:3]] == ["fib", "obprod", "pell"]
+        assert [(t.kind, t.text) for t in toks[:3]] == [("name", "fib"), ("op", "⊙"), ("name", "pell")]
         toks = tokenize("fib ∗ pell")
-        assert toks[1].text == "hprod"
+        assert (toks[1].kind, toks[1].text) == ("op", "∗")
 
     def test_positions_recorded(self):
         toks = tokenize("1 + xy")
@@ -125,7 +125,8 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             parse_expression(text)
         assert exc.value.position == position
-        message = f"unexpected name {typed!r} at position {position}"
+        kind = "name" if typed.isalpha() else "op"
+        message = f"unexpected {kind} {typed!r} at position {position}"
         assert str(exc.value).startswith(message)
         assert main(["eval", text]) == 2
         assert capsys.readouterr().err.startswith(f"parse error: {message}")
@@ -199,6 +200,10 @@ class TestMainCommand:
         assert main(["bprod", "fib"]) == 2
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    def test_bare_product_operator_is_a_parse_error(self, capsys):
+        assert main(["bprod", "⊙", "fib"]) == 2
+        assert capsys.readouterr().err.startswith("parse error: unexpected op '⊙' at position 0")
 
     def test_eval_json(self, capsys):
         assert main(["eval", "fib/2", "--json"]) == 0

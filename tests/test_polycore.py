@@ -253,6 +253,16 @@ class TestPolyBasics:
         with pytest.raises(InvalidInput):
             poly_gcd(Poly(), Poly())
 
+    def test_gcd_of_a_nonzero_constant_is_one_at_once(self, monkeypatch):
+        def no_lift(f):
+            raise AssertionError("a constant argument needs no modular lift")
+
+        monkeypatch.setattr(polycore, "_primitive_ints", no_lift)
+        f = Poly([Fraction(2, 3), -4, 6])
+        for c in (Poly([7]), Poly([Fraction(-5, 2)])):
+            assert poly_gcd(f, c) == poly_gcd(c, f) == Poly.one()
+            assert poly_gcd(c, c) == Poly.one()
+
     def test_gcd_primes_descend_from_2_61_minus_1(self):
         sympy = pytest.importorskip("sympy")
         primes = [polycore._gcd_prime(i) for i in range(6)]
@@ -310,6 +320,34 @@ class TestDenseKernel:
             scaled = cls([x * s for x in a.coeffs])
             assert a * s == s * a == a * cls([s]) == scaled
             assert a * cls() == cls() * a == cls()
+
+    def test_poly_product_in_z_matches_schoolbook_over_q(self):
+        def schoolbook(a, b):
+            out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+            for i, x in enumerate(a.coeffs):
+                for j, y in enumerate(b.coeffs):
+                    out[i + j] += x * y
+            return Poly(out)
+
+        rng = random.Random(59)
+        big = 10**40 + 7
+
+        def coeff():
+            return Fraction(rng.randint(-big, big), rng.choice([1, 3, big, 2**70, rng.randint(1, big)]))
+
+        factors = [Poly(), Poly([Fraction(-3, big)]), Poly([0, 0, Fraction(5, 2)]), Poly([1, 0, 0, -1])]
+        factors += [Poly([coeff() for _ in range(rng.randint(1, 6))]) for _ in range(12)]
+        factors += [Poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))]) for _ in range(6)]
+        for a in factors:
+            for b in factors:
+                assert a * b == schoolbook(a, b) if a and b else (a * b).is_zero()
+            for s in (0, 3, Fraction(-7, big)):
+                assert a * s == s * a == Poly([c * s for c in a.coeffs])
+
+    def test_bipoly_times_poly_is_a_bipoly(self):
+        p, q = Poly([1, Fraction(1, 2)]), BiPoly([Poly([0, 1]), 3])
+        assert p * q == q * p == BiPoly([Poly([0, 1, Fraction(1, 2)]), Poly([3, Fraction(3, 2)])])
+        assert isinstance(p * q, BiPoly)
 
     @pytest.mark.parametrize("cls, coeff", KERNEL_RINGS[:1], ids=["Poly"])
     def test_division_with_remainder(self, cls, coeff):

@@ -51,6 +51,18 @@ class TestNewtonConversion:
         with pytest.raises(InvalidInput):
             power_sums(Poly([2, 1]), 3)
 
+    def test_inexact_newton_step_raises(self):
+        # the roots of 1 - x + x^2/2 are (1 +- i)/2, not algebraic integers:
+        # their p = 2, 1, 0 gives 2 d_2 = 1
+        den = Poly([1, -1, Fraction(1, 2)])
+        assert power_sums(den, 2) == Series([2, 1, 0])
+        with pytest.raises(InvalidInput, match="d_2"):
+            denominator_from_power_sums(Series([2, 1, 0]))
+        with pytest.raises(InvalidInput, match="integers"):
+            denominator_from_power_sums(power_sums(den, 3))
+        # at 2x they are 1 +- i, which are algebraic integers
+        assert denominator_from_power_sums(power_sums(den.scale_arg(2), 3)) == Poly([1, -2, 2])
+
 
 class TestCombinedPowerSums:
     def test_hadamard_is_termwise(self):
