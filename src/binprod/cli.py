@@ -6,9 +6,6 @@ also spelled ⊙) and ``hprod`` (the Hadamard product, also spelled ∗).
 The product operators bind loosest, ``^`` binds tightest, and adjacency
 is multiplication, so ``2x obprod fib`` means ``(2*x) obprod fib``.
 
-`to_text` prints an AST back into this language; parsing its output
-returns the identical AST, so the printed form is canonical.
-
 The AST nodes (`Num`, `Var`, `Seq`, `Neg`, `Pow` and the binary nodes
 `Add`, `Sub`, `Mul`, `Div`, `BProd`, `HProd`) are plain immutable classes
 on `record.Record`, all subclasses of `Expr`: a node equals another only
@@ -146,6 +143,10 @@ class BProd(_Binary):
 
 class HProd(_Binary):
     __slots__ = ()
+
+
+# the concrete node classes, the only values `evaluate` accepts
+_NODES = frozenset((Num, Var, Seq, Neg, Pow, Add, Sub, Mul, Div, BProd, HProd))
 
 
 # ---------------------------------------------------------------------------
@@ -301,62 +302,6 @@ def parse_expression(text: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# printing
-
-_LEVELS = {
-    BProd: 1,
-    HProd: 1,
-    Add: 2,
-    Sub: 2,
-    Mul: 3,
-    Div: 3,
-    Neg: 4,
-    Pow: 5,
-    Num: 6,
-    Var: 6,
-    Seq: 6,
-}
-
-
-def _level(e: Expr) -> int:
-    return _LEVELS[type(e)]
-
-
-def _wrap(e: Expr, minimum: int) -> str:
-    text = to_text(e)
-    return f"({text})" if _level(e) < minimum else text
-
-
-def to_text(e: Expr) -> str:
-    """Canonical text form; parse_expression(to_text(e)) == e."""
-    if isinstance(e, Num):
-        return str(e.value)
-    if isinstance(e, Var):
-        return "x"
-    if isinstance(e, Seq):
-        if not e.args:
-            return e.name
-        return f"{e.name}({', '.join(to_text(a) for a in e.args)})"
-    if isinstance(e, Neg):
-        return f"-{_wrap(e.operand, 4)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, 6)}^{e.exponent}"
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, 2)} + {_wrap(e.right, 3)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, 2)} - {_wrap(e.right, 3)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, 3)}*{_wrap(e.right, 4)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, 3)}/{_wrap(e.right, 4)}"
-    if isinstance(e, BProd):
-        return f"{_wrap(e.left, 1)} obprod {_wrap(e.right, 2)}"
-    if isinstance(e, HProd):
-        return f"{_wrap(e.left, 1)} hprod {_wrap(e.right, 2)}"
-    raise InvalidInput(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -372,7 +317,7 @@ def _operands(e: Expr) -> list[Expr]:
     A sequence's arguments are a tuple, not nodes: it evaluates them itself,
     and they nest at most MAX_NESTING deep.
     """
-    if type(e) not in _LEVELS:
+    if type(e) not in _NODES:
         raise InvalidInput(f"not an expression node: {e!r}")
     return [v for name in e._fields if isinstance(v := getattr(e, name), Expr)]
 
@@ -653,8 +598,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _internal_error(exc: Exception, argv: list[str] | None) -> int:
-    """Report a failure of binprod itself, with the command that reproduces it."""
-    command = shlex.join(["binprod", *(sys.argv[1:] if argv is None else argv)])
+    """Report a failure of binprod itself, with the command that reproduces it.
+
+    That is the failing product's own command when the exception carries
+    one (see `convolve.binomial_product`), and this command's argv otherwise.
+    """
+    command = getattr(exc, "reproducer", None)
+    if command is None:
+        command = shlex.join(["binprod", *(sys.argv[1:] if argv is None else argv)])
     print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
     print(f"reproduce with: {command}", file=sys.stderr)
     return 4

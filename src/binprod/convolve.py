@@ -33,12 +33,14 @@ sums with them too, since they are not denominator code.
 
 from __future__ import annotations
 
+import shlex
 from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 
 from . import symfun
 from .errors import (
+    BinprodError,
     DecompositionUnavailable,
     InternalInvariantViolation,
     InvalidInput,
@@ -209,6 +211,7 @@ def _recover_from_plan(a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> Ra
 
 def _reconstruct(combine, a: RatFun, b: RatFun, den_deg: int, num_deg: int) -> RatFun:
     """The product fitted from its series by `ratfun.reconstruct_rational`."""
+    # looked up at call time, so that a patched `ratfun` binding sees this route's fits
     from .ratfun import reconstruct_rational
 
     order = den_deg + num_deg + 3
@@ -225,18 +228,11 @@ def binomial_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
     Improper operands are fine.  Resultant, symfun and reconstruct work from
     the degree bounds of `plan_binomial`, which absorb them; only pfrac,
     whose constant-term split needs proper operands, splits off the
-    polynomial parts first.
+    polynomial parts first.  A `Poly`, `int` or `Fraction` operand is
+    lifted as in `RatFun` arithmetic, and a failure of binprod itself
+    carries a reproducer (`_product`).
     """
-    _check_method(method)
-    if a.is_zero() or b.is_zero():
-        return RatFun.zero()
-    if method == "pfrac":
-        from . import pfrac
-
-        return pfrac.binomial_via_constant_term(a, b)
-    if method == "reconstruct":
-        return _reconstruct(series_binomial, a, b, *_binomial_bounds(a, b)[2:])
-    return _recover_from_plan(a, b, plan_binomial(a, b, method), "binomial")
+    return _product("binomial", a, b, method)
 
 
 def hadamard_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
@@ -245,22 +241,54 @@ def hadamard_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
     Improper operands are fine, under the same policy as `binomial_product`:
     resultant, symfun and reconstruct work from the degree bounds of
     `plan_hadamard`, and only pfrac splits off the polynomial parts.
+    Operands lift, and failures carry a reproducer, as in `binomial_product`.
     """
-    _check_method(method)
-    if a.is_zero() or b.is_zero():
-        return RatFun.zero()
-    if method == "pfrac":
-        from . import pfrac
-
-        return pfrac.hadamard_via_constant_term(a, b)
-    if method == "reconstruct":
-        return _reconstruct(series_hadamard, a, b, *_hadamard_bounds(a, b))
-    return _recover_from_plan(a, b, plan_hadamard(a, b, method), "hadamard")
+    return _product("hadamard", a, b, method)
 
 
-def _check_method(method: str) -> None:
+def _product(kind: str, a, b, method: str) -> RatFun:
+    """The body of `binomial_product` and `hadamard_product`.
+
+    Any exception but a `BinprodError` about the input, that is, an
+    `InternalInvariantViolation` or one from outside the taxonomy, leaves
+    with a ``reproducer`` attribute: the `binprod` command line of this
+    product, with ``--method`` always written out.  One that already has a
+    reproducer keeps it, so the innermost product is named.
+    """
     if method not in METHODS:
         raise InvalidInput(f"method must be one of {METHODS}, got {method!r}")
+    a, b = _lift(a), _lift(b)
+    binomial = kind == "binomial"
+    try:
+        if a.is_zero() or b.is_zero():
+            return RatFun.zero()
+        if method == "pfrac":
+            # not at module level: pfrac imports `poly_bprod` from this module
+            from . import pfrac
+
+            if binomial:
+                return pfrac.binomial_via_constant_term(a, b)
+            return pfrac.hadamard_via_constant_term(a, b)
+        if method == "reconstruct":
+            if binomial:
+                return _reconstruct(series_binomial, a, b, *_binomial_bounds(a, b)[2:])
+            return _reconstruct(series_hadamard, a, b, *_hadamard_bounds(a, b))
+        plan = plan_binomial if binomial else plan_hadamard
+        return _recover_from_plan(a, b, plan(a, b, method), kind)
+    except Exception as exc:
+        bad_input = isinstance(exc, BinprodError) and not isinstance(exc, InternalInvariantViolation)
+        if not bad_input and not hasattr(exc, "reproducer"):
+            command = "bprod" if binomial else "hprod"
+            exc.reproducer = shlex.join(["binprod", command, str(a), str(b), "--method", method])
+        raise
+
+
+def _lift(f) -> RatFun:
+    """f as a `RatFun`: `Poly`, `int` and `Fraction` lift as in `RatFun` arithmetic."""
+    lifted = RatFun._coerce(f)
+    if lifted is None:
+        raise InvalidInput(f"operands must be RatFun, Poly, int or Fraction, not {type(f).__name__}")
+    return lifted
 
 
 # ---------------------------------------------------------------------------

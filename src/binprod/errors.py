@@ -26,7 +26,13 @@ class ReconstructionFailed(BinprodError):
 
 
 class InternalInvariantViolation(BinprodError):
-    """An internal cross-check failed.  This indicates a bug, not bad input."""
+    """An internal cross-check failed.  This indicates a bug, not bad input.
+
+    One raised out of `binomial_product` or `hadamard_product` has a
+    ``reproducer`` attribute, the ``binprod`` command line that repeats the
+    failing product.  So does any exception from there that is not a
+    `BinprodError`.
+    """
 
 
 class DecompositionUnavailable(BinprodError):

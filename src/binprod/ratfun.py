@@ -207,7 +207,9 @@ class RatFun:
 
     # -- field arithmetic -------------------------------------------------------
 
-    def _coerce(self, other) -> RatFun | None:
+    @staticmethod
+    def _coerce(other) -> RatFun | None:
+        """other as a `RatFun` if it is one, a `Poly` or a scalar; else None."""
         if isinstance(other, RatFun):
             return other
         if isinstance(other, (Poly, *Scalar)):
@@ -384,9 +386,11 @@ def reconstruct_rational(s: Series, max_den_deg: int, max_num_deg: int) -> RatFu
     before it can be returned.  The numerator is then den * s truncated.
 
     Raises ReconstructionFailed when no candidate matches every coefficient,
-    and InvalidInput when fewer than max_num_deg + max_den_deg + 3
-    coefficients are supplied.
+    and InvalidInput when s is not a `Series` or has fewer than
+    max_num_deg + max_den_deg + 3 coefficients.
     """
+    if not isinstance(s, Series):
+        raise InvalidInput(f"reconstruction needs a Series, not {type(s).__name__}")
     if max_den_deg < 0 or max_num_deg < 0:
         raise InvalidInput("degree bounds must be nonnegative")
     needed = max_num_deg + max_den_deg + 3

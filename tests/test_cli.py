@@ -2,13 +2,17 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from binprod import (
+    METHODS,
+    DivisionByZero,
     InternalInvariantViolation,
     InvalidInput,
     NotAPowerSeries,
@@ -21,6 +25,7 @@ from binprod import (
     run_identity_suite,
 )
 import binprod.cli as cli
+from binprod import convolve, pfrac, ratfun
 from binprod.cli import (
     Add,
     BProd,
@@ -36,7 +41,6 @@ from binprod.cli import (
     evaluate_text,
     main,
     parse_expression,
-    to_text,
     tokenize,
 )
 
@@ -138,21 +142,6 @@ class TestParser:
             parse_expression("fib obprod")
 
 
-class TestPrinter:
-    def test_round_trip_is_fixed_point(self):
-        for text in CORPUS:
-            once = to_text(parse_expression(text))
-            twice = to_text(parse_expression(once))
-            assert once == twice, text
-            assert evaluate_text(text) == evaluate_text(once), text
-
-    def test_parenthesization(self):
-        assert to_text(parse_expression("(1+x)*(1-x)")) == "(1 + x)*(1 - x)"
-        assert to_text(parse_expression("(1+x)^3")) == "(1 + x)^3"
-        assert to_text(parse_expression("-(1+x)")) == "-(1 + x)"
-        assert to_text(parse_expression("x - (1 - x)")) == "x - (1 - x)"
-
-
 class TestEvaluation:
     def test_named_and_rational(self):
         assert evaluate_text("fib") == FIB
@@ -176,6 +165,12 @@ class TestEvaluation:
     def test_not_a_power_series(self):
         with pytest.raises(NotAPowerSeries):
             evaluate_text("1/x")
+
+    def test_printed_value_reads_back(self):
+        # a reproducer writes operands with str(RatFun), so that must read back
+        for text in CORPUS:
+            f = evaluate_text(text)
+            assert evaluate_text(str(f)) == f, text
 
     @pytest.mark.parametrize("value", ["fib", 3, None, cli.Expr(), cli._Binary(Num(1), Var())], ids=repr)
     def test_only_nodes_evaluate(self, value):
@@ -488,3 +483,69 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(x) / (1 - x - x^2)"
+
+
+# one kernel of each route, by method; breaking it breaks that route only
+KERNELS = {
+    "resultant": (convolve, "_recover_numerator"),
+    "symfun": (convolve, "_recover_numerator"),
+    "pfrac": (pfrac, "constant_term_split"),
+    "reconstruct": (ratfun, "solve_exact"),
+}
+
+
+def _break(monkeypatch, module, name, exc_type):
+    def broken(*args, **kwargs):
+        raise exc_type("forced failure")
+
+    monkeypatch.setattr(module, name, broken)
+
+
+class TestReproducer:
+    @pytest.mark.parametrize("exc_type", [InternalInvariantViolation, KeyError], ids=["invariant", "unexpected"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("command", ["bprod", "hprod"])
+    def test_forced_failure_reproduces_through_main(self, capsys, monkeypatch, command, method, exc_type):
+        product = binomial_product if command == "bprod" else hadamard_product
+        a, b = FIB, RatFun(Poly([1, Fraction(1, 2)]), Poly([1, Fraction(-1, 3)]))
+        _break(monkeypatch, *KERNELS[method], exc_type)
+        with pytest.raises(exc_type) as info:
+            product(a, b, method=method)
+        reproducer = info.value.reproducer
+        assert reproducer == shlex.join(["binprod", command, str(a), str(b), "--method", method])
+        assert main(shlex.split(reproducer)[1:]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            f"internal error: {exc_type.__name__}: {info.value}",
+            f"reproduce with: {reproducer}",
+        ]
+
+    def test_nested_failure_names_the_inner_product(self, capsys, monkeypatch):
+        _break(monkeypatch, convolve, "series_hadamard", InternalInvariantViolation)
+        assert main(["eval", "fib obprod (2 + pell hprod g(1/2, 3))"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        # products bind loosest, so the inner product is (2 + pell) hprod g(1/2, 3)
+        left, right = evaluate_text("2 + pell"), evaluate_text("g(1/2, 3)")
+        inner = shlex.join(["binprod", "hprod", str(left), str(right), "--method", "resultant"])
+        assert err == ["internal error: InternalInvariantViolation: forced failure", f"reproduce with: {inner}"]
+        assert main(shlex.split(inner)[1:]) == 4
+        assert capsys.readouterr().err.splitlines() == err
+
+    def test_the_innermost_reproducer_is_kept(self, monkeypatch):
+        exc = InternalInvariantViolation("forced failure")
+        exc.reproducer = "binprod hprod 1 1 --method symfun"
+
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(convolve, "_recover_numerator", broken)
+        with pytest.raises(InternalInvariantViolation) as info:
+            binomial_product(FIB, PELL)
+        assert info.value is exc and exc.reproducer == "binprod hprod 1 1 --method symfun"
+
+    def test_input_errors_carry_no_reproducer(self, capsys, monkeypatch):
+        _break(monkeypatch, convolve, "_recover_numerator", DivisionByZero)
+        with pytest.raises(DivisionByZero) as info:
+            binomial_product(FIB, PELL)
+        assert not hasattr(info.value, "reproducer")
+        assert main(["bprod", "fib", "pell"]) == 1
+        assert capsys.readouterr().err == "error: forced failure\n"

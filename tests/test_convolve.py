@@ -290,6 +290,26 @@ class TestWorkedBinomialProducts:
         with pytest.raises(InvalidInput):
             binomial_product(f, f, method="telepathy")
 
+    @pytest.mark.parametrize(
+        "operand", [Poly.x(), 2, Fraction(1, 2), None, "fib", [1, 1, 2, 3, 5, 8, 13]], ids=repr
+    )
+    def test_operands_lift_like_ratfun_arithmetic(self, operand):
+        """Poly, int and Fraction lift as in RatFun arithmetic; anything else is InvalidInput."""
+        fib = RatFun(Poly.x(), Poly([1, -1, -1]))
+        for product in (binomial_product, hadamard_product):
+            if isinstance(operand, (Poly, int, Fraction)):
+                lifted = RatFun(operand)
+                for method in METHODS:
+                    assert product(operand, fib, method=method) == product(lifted, fib, method=method)
+                    assert product(fib, operand, method=method) == product(fib, lifted, method=method)
+            else:
+                for pair in ((operand, fib), (fib, operand)):
+                    with pytest.raises(InvalidInput, match="operands must be"):
+                        product(*pair)
+        # reconstruction takes a Series and nothing else
+        with pytest.raises(InvalidInput, match="needs a Series"):
+            ratfun.reconstruct_rational(operand, 2, 1)
+
 
 class TestAlgebraicLaws:
     def test_binomial_identity_element(self):

@@ -1,9 +1,11 @@
 """Generated inputs: the four methods against each other and a brute-force series.
 
 Operands have denominator degree 0-3 and cover improper numerators, pure
-polynomials, repeated roots and non-integer rational coefficients.  The
-symfun denominators are also checked against the resultant ones on their
-own, including pairs whose root sums cancel.  The draws are derandomized,
+polynomials, repeated roots and non-integer rational coefficients; pairs
+with colliding root products or sums and constant operands are checked
+too.  The symfun denominators are also checked against the resultant ones
+on their own, including pairs whose root sums cancel.  Printed functions
+read back through the expression language.  The draws are derandomized,
 so every run checks the same examples.
 """
 
@@ -16,6 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from binprod import METHODS, Poly, RatFun, binomial_product, hadamard_product  # noqa: E402
+from binprod.cli import evaluate_text  # noqa: E402
 from binprod.convolve import binomial_denominator, hadamard_denominator  # noqa: E402
 from binprod.symfun import denominator_via_symfun  # noqa: E402
 
@@ -46,9 +49,7 @@ def brute(kind, a, b, order):
     return tuple(sum(math.comb(n, k) * fs[k] * gs[n - k] for k in range(n + 1)) for n in range(order))
 
 
-@settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(operands(), operands())
-def test_four_methods_agree_with_brute_force(a, b):
+def assert_four_methods_agree_with_brute_force(a, b):
     for kind, product in (("binomial", binomial_product), ("hadamard", hadamard_product)):
         got = product(a, b, method=METHODS[0])
         for method in METHODS[1:]:
@@ -57,6 +58,70 @@ def test_four_methods_agree_with_brute_force(a, b):
         # operands, to twice the size of the answer
         order = 2 * (got.num.degree + got.den.degree) + 4
         assert got.expand(order).coeffs == brute(kind, a, b, order)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(operands(), operands())
+def test_four_methods_agree_with_brute_force(a, b):
+    assert_four_methods_agree_with_brute_force(a, b)
+
+
+def geometric_mix(roots, num):
+    """num over prod(1 - r x) for the reciprocal roots r."""
+    return RatFun(Poly(num), math.prod((Poly([1, -r]) for r in roots), start=Poly.one()))
+
+
+# reciprocal roots (1, 2) against (2, 1) collide in both products, since
+# 1*2 = 2*1 and 1 + 2 = 2 + 1; so do (1, 3) against (3, 1), and (1, 2, 3)
+# against (3, 2, 1).  (1/2, 2) against (4, 1) collides in the Hadamard
+# product only.  The last three pairs have constant operands.
+COLLIDING_AND_CONSTANT_PAIRS = [
+    (geometric_mix([1, 2], [1]), geometric_mix([2, 1], [0, 1])),
+    (geometric_mix([1, 3], [2, -1]), geometric_mix([3, 1], [1, 1])),
+    (geometric_mix([1, 2, 3], [1, 0, 1]), geometric_mix([3, 2, 1], [0, 0, 1])),
+    (geometric_mix([Fraction(1, 2), 2], [1]), geometric_mix([4, 1], [1, 2, 3])),
+    (RatFun(3), geometric_mix([1, 1], [0, 1])),
+    (geometric_mix([2, Fraction(-1, 3)], [1, 2, 0, 1]), RatFun(Fraction(-1, 2))),
+    (RatFun(2), RatFun(Fraction(5, 3))),
+]
+
+
+@pytest.mark.parametrize("pair", COLLIDING_AND_CONSTANT_PAIRS)
+def test_four_methods_agree_on_colliding_roots_and_constants(pair):
+    assert_four_methods_agree_with_brute_force(*pair)
+
+
+@st.composite
+def colliding_pairs(draw):
+    """(a, b) where b's reciprocal roots are c times a's, or a's plus c.
+
+    Then alpha_i beta_j = alpha_j beta_i, or alpha_i + beta_j = alpha_j + beta_i,
+    for every i != j.
+    """
+    u_roots = draw(st.lists(roots, min_size=2, max_size=3, unique=True))
+    c = draw(nonzero)
+    if draw(st.booleans()):
+        v_roots = [c * r for r in u_roots]
+    else:
+        v_roots = [c + r for r in u_roots]
+    nums = [draw(st.lists(scalars, min_size=1, max_size=3).filter(any)) for _ in range(2)]
+    return geometric_mix(u_roots, nums[0]), geometric_mix(v_roots, nums[1])
+
+
+@settings(derandomize=True, max_examples=25, deadline=None, database=None)
+@given(colliding_pairs())
+def test_four_methods_agree_on_generated_root_collisions(pair):
+    assert_four_methods_agree_with_brute_force(*pair)
+
+
+rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.lists(rationals, max_size=5), rationals.filter(bool), st.lists(rationals, max_size=4))
+def test_printed_function_reads_back(num, den0, den_tail):
+    f = RatFun(Poly(num), Poly([den0, *den_tail]))
+    assert evaluate_text(str(f)) == f
 
 
 @st.composite
