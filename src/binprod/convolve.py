@@ -36,7 +36,7 @@ from __future__ import annotations
 import shlex
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from . import symfun
 from .errors import (
@@ -322,10 +322,7 @@ def poly_bprod(m: int, a: RatFun) -> RatFun:
     g = RatFun(a.num.shift(m), a.den)
     for _ in range(m):
         g = g.derivative()
-    factorial = 1
-    for i in range(2, m + 1):
-        factorial *= i
-    return RatFun(g.num.shift(m), g.den) / factorial
+    return RatFun(g.num.shift(m), g.den) / factorial(m)
 
 
 def closed_form_hprod(i: int, a, m: int, j: int, b, n: int) -> RatFun:

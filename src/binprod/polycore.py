@@ -18,24 +18,26 @@ Sylvester matrices and resultants, and the y-substitutions that turn
 denominator products such as prod(1 - (alpha_i + beta_j) x) into a single
 resultant computation.
 
-The hot kernels leave `Fraction` for plain integers.  Determinants clear
-denominators row by row, pack each Z[x] entry into one integer by
-Kronecker substitution x = 2^w, with w above a Hadamard bound on the
-coefficients of every minor, and eliminate on those integers (Bareiss,
-Math. Comp. 22, 1968); the result is unpacked from balanced base-2^w
-digits and divided by the row scales once at the end.  A `Poly` product
-clears both factors and convolves in Z[x], rescaling once; a one-term
-factor stays a scalar multiple.  `Poly.exact_div`, the
-division by a gcd in every fraction type, clears both operands and divides
-in Z[x] by the primitive part of the divisor, rescaling once.  `poly_gcd`
-is a modular gcd (Brown, J. ACM 18, 1971): it clears both arguments to
-primitive integer polynomials and lifts their gcd by the Chinese remainder
-theorem from the monic gcds of their images in GF(p)[x], for primes p from
-2^61 - 1 downward.  A constant image proves the arguments coprime at
-once.  Every lifted candidate is trial divided into both arguments before
-it is returned; since no image gcd at a prime that divides neither leading
-coefficient has lower degree than the true gcd, a candidate that divides
-both is the gcd, so the answer is exact, not probabilistic.
+The hot kernels leave `Fraction` for plain integers, here and in `ratfun`
+and `symfun`, through one boundary: `_cleared` writes a coefficient list
+as integers over the lcm of its denominators, and no other code reads a
+denominator.  Each kernel works on the cleared integers and returns to
+`Fraction` once, at the end.  Determinants pack each
+cleared Z[x] entry into one integer by Kronecker substitution x = 2^w,
+with w above a Hadamard bound on the coefficients of every minor, and
+eliminate on those integers (Bareiss, Math. Comp. 22, 1968); the result is
+unpacked from balanced base-2^w digits and divided by the row scales.  A
+`Poly` product convolves in Z[x], and a one-term factor stays a scalar
+multiple.  `Poly.exact_div`, the division by a gcd in every fraction type,
+divides in Z[x] by the primitive part of the divisor.  `poly_gcd` is a
+modular gcd (Brown, J. ACM 18, 1971): it lifts the gcd of the primitive
+parts of both arguments by the Chinese remainder theorem from the monic
+gcds of their images in GF(p)[x], for primes p from 2^61 - 1 downward.
+A constant image proves the arguments coprime at once.  Every lifted
+candidate is trial divided into both arguments before it is returned;
+since no image gcd at a prime that divides neither leading coefficient has
+lower degree than the true gcd, a candidate that divides both is the gcd,
+so the answer is exact, not probabilistic.
 
 Every value is immutable after construction and every function is pure, so
 values can be shared freely between threads.
@@ -46,7 +48,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cache
-from itertools import count
+from itertools import count, islice
 from math import comb, gcd as int_gcd, isqrt, lcm
 
 from .errors import DivisibilityError, InvalidInput
@@ -82,6 +84,20 @@ def _convolve(a: Sequence, b: Sequence) -> list:
     return out
 
 
+def _cleared(coeffs: Sequence) -> tuple[list, int]:
+    """(ints, s): s is the lcm of the denominators and ints[i] = s * coeffs[i].
+
+    The one step from Q to Z; every integer kernel enters through it.
+
+    >>> _cleared([Fraction(1, 2), 3, Fraction(-2, 3)])
+    ([3, 18, -4], 6)
+    >>> _cleared([])
+    ([], 1)
+    """
+    s = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (s // c.denominator) for c in coeffs], s
+
+
 class _DensePoly:
     """Dense univariate polynomials over a commutative coefficient ring.
 
@@ -92,9 +108,11 @@ class _DensePoly:
 
     A subclass names its ring: ``_zero`` is the zero coefficient and
     ``_coeff`` turns a value into a coefficient or raises InvalidInput.
-    Coefficients need +, -, * and truth testing; division and `monic` also
-    need / between coefficients.  An operand that is a coefficient rather
-    than a polynomial acts as a constant polynomial.
+    Coefficients need +, -, * and truth testing, all that pseudo-division
+    uses; division with remainder divides by a power of the divisor's
+    leading coefficient and `monic` by the leading coefficient, so both
+    also need / between coefficients.  An operand that is a coefficient
+    rather than a polynomial acts as a constant polynomial.
     """
 
     __slots__ = ("coeffs",)
@@ -215,29 +233,20 @@ class _DensePoly:
         return out
 
     def __divmod__(self, other):
-        """Long division; the divisor's leading coefficient must be invertible.
+        """(q, r) with self = q*other + r and deg r < deg other.
 
-        The leading term of each step cancels exactly, so it is dropped
-        rather than subtracted.
+        The pseudo-quotient and pseudo-remainder of `pseudo_divmod`, each
+        divided once by lc(other)^e, which must divide every coefficient.
+        With e = 0, a dividend of lower degree, nothing is divided.
         """
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        b = o.coeffs
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        if len(self.coeffs) <= db:
-            return self._make([]), self
-        rem = list(self.coeffs)
-        lead = b[-1]
-        quo = [self._zero] * (len(rem) - db)
-        for k in range(len(quo) - 1, -1, -1):
-            r = rem[k + db]
-            if r:
-                c = quo[k] = r / lead
-                rem[k : k + db] = [d - c * e for d, e in zip(rem[k : k + db], b)]
-        return self._make(quo), self._make(rem[:db])
+        q, r, e = self.pseudo_divmod(o)
+        if not e:
+            return q, r
+        s = o.coeffs[-1] ** e
+        return self._make([c / s for c in q.coeffs]), self._make([c / s for c in r.coeffs])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -331,11 +340,9 @@ class Poly(_DensePoly):
         a, b = self.coeffs, o.coeffs
         if len(a) <= 1 or len(b) <= 1:
             return _DensePoly.__mul__(self, o)
-        sa = lcm(*(c.denominator for c in a))
-        sb = lcm(*(c.denominator for c in b))
+        (ints_a, sa), (ints_b, sb) = _cleared(a), _cleared(b)
         scale = sa * sb
-        ints = _convolve(_scaled_numerators(a, sa), _scaled_numerators(b, sb))
-        return Poly._make([Fraction(c, scale) for c in ints])
+        return Poly._make([Fraction(c, scale) for c in _convolve(ints_a, ints_b)])
 
     __rmul__ = __mul__
 
@@ -364,12 +371,10 @@ class Poly(_DensePoly):
             raise TypeError(f"cannot divide a Poly by {type(other).__name__}")
         if not o.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
-        sa = lcm(*(c.denominator for c in self.coeffs))
-        sb = lcm(*(c.denominator for c in o.coeffs))
-        ints = _scaled_numerators(o.coeffs, sb)
-        content = int_gcd(*ints)
+        (ints_a, sa), (ints_b, sb) = _cleared(self.coeffs), _cleared(o.coeffs)
+        content = int_gcd(*ints_b)
         try:
-            quo = _zx_exact_div(_scaled_numerators(self.coeffs, sa), [c // content for c in ints])
+            quo = _zx_exact_div(ints_a, [c // content for c in ints_b])
         except DivisibilityError:
             raise DivisibilityError(f"{self} is not divisible by {other}") from None
         scale = sa * content
@@ -491,14 +496,9 @@ def _gcd_prime(i: int) -> int:
     return p
 
 
-def _scaled_numerators(coeffs: Sequence[Fraction], scale: int) -> list:
-    """The integers scale * c, for a scale that every denominator divides."""
-    return [c.numerator * (scale // c.denominator) for c in coeffs]
-
-
 def _primitive_ints(f: Poly) -> list:
     """f cleared of denominators and content: a primitive Z[x] coefficient list."""
-    ints = _scaled_numerators(f.coeffs, lcm(*(c.denominator for c in f.coeffs)))
+    ints = _cleared(f.coeffs)[0]
     g = int_gcd(*ints)
     return [c // g for c in ints]
 
@@ -711,9 +711,12 @@ def det_fraction_free(rows: Sequence[Sequence]) -> Poly:
     scale = bound = 1
     for row in rows:
         coeffs = [_as_poly(e).coeffs for e in row]
-        s = lcm(*(c.denominator for e in coeffs for c in e))
+        flat, s = _cleared([c for e in coeffs for c in e])
         scale *= s
-        ints = [_scaled_numerators(e, s) for e in coeffs]
+        # one clear per row, cheaper than one per entry; each entry then
+        # takes its own integers back
+        it = iter(flat)
+        ints = [list(islice(it, len(e))) for e in coeffs]
         norm2 = sum(sum(map(abs, e)) ** 2 for e in ints)
         if norm2 > 1:
             bound *= isqrt(norm2 - 1) + 1

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import lcm
 from operator import add, mul
 
 from .errors import (
@@ -32,7 +31,7 @@ from .errors import (
     NotAPowerSeries,
     ReconstructionFailed,
 )
-from .polycore import Poly, Scalar, _fr, _scaled_numerators, format_poly, poly_gcd, solve_exact
+from .polycore import Poly, Scalar, _cleared, _fr, format_poly, poly_gcd, solve_exact
 
 
 class Series:
@@ -80,7 +79,7 @@ class Series:
 def series_binomial(a: Series, b: Series) -> Series:
     """Termwise binomial convolution c_n = sum_k C(n,k) a_k b_{n-k}.
 
-    Runs on integers: with A = la*a and B = lb*b cleared of denominators,
+    Runs on integers: with A = la*a and B = lb*b the `_cleared` prefixes,
     la*lb*c_n is one dot product of the n-th Pascal row with the products
     A_k B_{n-k}, and each c_n becomes one `Fraction` at the end.
 
@@ -88,11 +87,9 @@ def series_binomial(a: Series, b: Series) -> Series:
     (Fraction(1, 1), Fraction(3, 2), Fraction(9, 4))
     """
     order = min(a.order, b.order)
-    xa, xb = a.coeffs[:order], b.coeffs[:order]
-    la, lb = lcm(*(c.denominator for c in xa)), lcm(*(c.denominator for c in xb))
-    ints_a = _scaled_numerators(xa, la)
+    (ints_a, la), (ints_b, lb) = _cleared(a.coeffs[:order]), _cleared(b.coeffs[:order])
     # reversed, so the last n+1 entries are B_n, ..., B_0
-    rev_b = _scaled_numerators(xb, lb)[::-1]
+    rev_b = ints_b[::-1]
     out, row = [], [1]
     for n in range(order):
         terms = map(mul, ints_a[: n + 1], rev_b[order - 1 - n :])
@@ -284,7 +281,7 @@ class RatFun:
 
         Runs the linear recurrence c_n = num_n - sum_{j>=1} den_j c_{n-j},
         valid because den(0) = 1, on integers.  With N = ln*num and
-        D = ld*den cleared of denominators (so D_0 = ld), the integers
+        D = ld*den the `_cleared` coefficients (so D_0 = ld), the integers
         C_n = ln * ld^n * c_n satisfy
 
             C_n = N_n ld^n - sum_{j>=1} D_j ld^(j-1) C_{n-j},
@@ -296,13 +293,10 @@ class RatFun:
         """
         if order < 0:
             raise InvalidInput("expansion order must be nonnegative")
-        num, den = self.num.coeffs[:order], self.den.coeffs
-        ln = lcm(*(c.denominator for c in num))
-        ld = lcm(*(c.denominator for c in den))
-        nums = _scaled_numerators(num, ln)
+        (nums, ln), (den_ints, ld) = _cleared(self.num.coeffs[:order]), _cleared(self.den.coeffs)
         # taps[d - j] = D_j ld^(j-1), so the sum pairs the last k taps with
         # the last k values of C
-        taps = [c * ld ** (j - 1) for j, c in enumerate(_scaled_numerators(den, ld)) if j][::-1]
+        taps = [c * ld ** (j - 1) for j, c in enumerate(den_ints) if j][::-1]
         d = len(taps)
         ints, dens, power = [], [], 1
         for n in range(order):
@@ -344,15 +338,16 @@ class RatFun:
         powers = [Poly.one()]
         for _ in range(d):
             powers.append(powers[-1] * base)
-        num = Poly()
-        for i, c in enumerate(self.num.coeffs):
-            if c:
-                num = num + Poly.monomial(i, c) * powers[d - i]
-        den = Poly()
-        for j, c in enumerate(self.den.coeffs):
-            if c:
-                den = den + Poly.monomial(j, c) * powers[d - j]
-        return RatFun._quotient(num, den * base)
+
+        def substitute(p: Poly) -> Poly:
+            """(1 - beta*x)^d * p(x/(1 - beta*x))."""
+            out = Poly()
+            for i, c in enumerate(p.coeffs):
+                if c:
+                    out = out + Poly.monomial(i, c) * powers[d - i]
+            return out
+
+        return RatFun._quotient(substitute(self.num), substitute(self.den) * base)
 
     def compose_poly(self, inner: Poly) -> "RatFun":
         """self(inner(x)) for a polynomial inner with inner(0) = 0."""

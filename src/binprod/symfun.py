@@ -44,7 +44,7 @@ from math import lcm
 from operator import mul
 
 from .errors import InternalInvariantViolation, InvalidInput
-from .polycore import Poly
+from .polycore import Poly, _cleared
 from .ratfun import RatFun, Series, series_binomial, series_hadamard
 
 
@@ -80,9 +80,9 @@ def denominator_from_power_sums(p: Series) -> Poly:
     >>> print(denominator_from_power_sums(series_hadamard(fib, pell)))
     1 - 2*x - 7*x^2 - 2*x^3 + x^4
     """
-    if any(c.denominator != 1 for c in p):
+    ints, s = _cleared(p.coeffs)
+    if s != 1:
         raise InvalidInput("power sums of algebraic integers must be integers")
-    ints = [c.numerator for c in p]
     d = [1]
     for k in range(1, len(ints)):
         q, r = divmod(-sum(map(mul, ints[1 : k + 1], reversed(d))), k)
@@ -109,7 +109,7 @@ def denominator_via_symfun(uden: Poly, vden: Poly, kind: str) -> Poly:
     m, n = uden.degree, vden.degree
     if m == 0 or n == 0:
         return Poly.one()
-    lu, lv = (lcm(*(c.denominator for c in d.coeffs)) for d in (uden, vden))
+    lu, lv = (_cleared(d.coeffs)[1] for d in (uden, vden))
     if kind == "binomial":
         combine = series_binomial
         lu = lv = scale = lcm(lu, lv)

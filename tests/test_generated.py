@@ -5,11 +5,16 @@ polynomials, repeated roots and non-integer rational coefficients; pairs
 with colliding root products or sums and constant operands are checked
 too.  The symfun denominators are also checked against the resultant ones
 on their own, including pairs whose root sums cancel.  Printed functions
-read back through the expression language.  The draws are derandomized,
-so every run checks the same examples.
+read back through the expression language.  The command line is fed
+generated expressions and raw junk, and must end every call in a
+documented exit code.  The draws are derandomized, so every run checks
+the same examples.
 """
 
+import contextlib
+import io
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -18,7 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from binprod import METHODS, Poly, RatFun, binomial_product, hadamard_product  # noqa: E402
-from binprod.cli import evaluate_text  # noqa: E402
+from binprod.cli import evaluate_text, main  # noqa: E402
 from binprod.convolve import binomial_denominator, hadamard_denominator  # noqa: E402
 from binprod.symfun import denominator_via_symfun  # noqa: E402
 
@@ -161,3 +166,67 @@ def test_symfun_denominators_match_resultants_when_root_sums_cancel(pair):
     u, v = pair
     assert binomial_denominator(u, v).degree < u.degree * v.degree
     assert_symfun_matches_resultants(u, v)
+
+
+# every sequence name and one unknown; arities are drawn independently, so
+# both right and wrong parameter counts occur
+SEQUENCE_NAMES = ["fib", "lucas", "pell", "trib", "perrin", "jacobsthal", "q", "r", "g", "zz"]
+BINARY_OPS = ["+", "-", "*", "/", " obprod ", " hprod ", "⊙", "∗"]
+atoms = st.one_of(
+    st.integers(0, 9).map(str),
+    st.sampled_from(["x", "1/2"]),
+    st.builds(
+        lambda name, args, call: f"{name}({', '.join(args)})" if args or call else name,
+        st.sampled_from(SEQUENCE_NAMES),
+        st.lists(st.sampled_from(["0", "1", "-2", "1/2", "x"]), max_size=3),
+        st.booleans(),
+    ),
+)
+
+
+def expressions(depth):
+    """Texts of the expression language, nested at most depth levels."""
+    if not depth:
+        return atoms
+    inner = expressions(depth - 1)
+    return st.one_of(
+        atoms,
+        st.builds("{}{}{}".format, inner, st.sampled_from(BINARY_OPS), inner),
+        inner.map("({})".format),
+        inner.map("-{}".format),
+        st.builds("({})^{}".format, inner, st.integers(-3, 3)),
+    )
+
+
+junk = st.one_of(st.text(max_size=12), st.text("0123456789x+-*/^(), ⊙∗fibqgr_", max_size=12))
+
+
+class Hang(BaseException):
+    """A command outlived its alarm; not an Exception, so `main` cannot catch it."""
+
+
+def run_cli(argv, seconds=10):
+    """(exit code, stderr) of `main(argv)`, which must return within seconds."""
+
+    def hang(signum, frame):
+        raise Hang(f"{argv!r} ran longer than {seconds} s")
+
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.one_of(expressions(3), junk))
+def test_every_cli_input_ends_in_a_documented_exit_code(text):
+    for argv in (["eval", text], ["coeffs", text, "-n", "6"], ["bprod", "fib", text], ["hprod", "pell", text]):
+        code, err = run_cli(argv)
+        assert code in (0, 1, 2, 3), (argv, err)
+        assert "Traceback" not in err, (argv, err)

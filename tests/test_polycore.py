@@ -1,7 +1,9 @@
 """Polynomial layer: arithmetic, determinants, resultants, substitutions."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +363,13 @@ class TestDenseKernel:
             assert a // b == q and a % b == r
             assert (a * b).exact_div(b) == a
             assert b.monic().leading == 1
+        # constant divisors, as a scalar and as a polynomial, and a dividend
+        # of lower degree than the divisor, which is its own remainder
+        a = self.rand(rng, cls, coeff, 3)
+        for b in (3, Fraction(-2, 3), Poly([Fraction(5, 2)])):
+            c = b[0] if isinstance(b, Poly) else b
+            assert divmod(a, b) == (cls([x / c for x in a.coeffs]), cls())
+        assert divmod(a, self.rand(rng, cls, coeff, 4)) == (cls(), a)
 
     # BiPoly, over a ring, is covered by tests/test_pfrac.py::TestTPoly
     @pytest.mark.parametrize("cls, coeff", KERNEL_RINGS[:1], ids=["Poly"])
@@ -678,3 +687,24 @@ class TestSolvers:
             got = solve_exact(rows, rhs)
             assert got is not None
             assert [sum(r[j] * got[j] for j in range(n)) for r in rows] == rhs
+
+
+def test_denominators_are_read_only_in_cleared():
+    """Every step from Fraction coefficients to integers goes through `_cleared`.
+
+    Collects the enclosing function of each `.denominator` attribute in the
+    package's source, so an inline clear in a new kernel fails here.
+    """
+    readers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        elif isinstance(node, ast.Attribute) and node.attr == "denominator":
+            readers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(Path(polycore.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert readers == {"polycore._cleared"}
