@@ -42,6 +42,7 @@ from . import symfun
 from .errors import (
     BinprodError,
     DecompositionUnavailable,
+    DivisibilityError,
     InternalInvariantViolation,
     InvalidInput,
 )
@@ -373,8 +374,24 @@ def komatsu_decompose(r: RatFun, s: RatFun) -> tuple[Poly, Poly]:
 
     has reciprocal roots alpha_j + alpha_k (j < k), so the decomposition
     applies exactly when gcd(D(2x), D2) = 1 (this also rules out repeated
-    roots).  u and v are found by exact linear algebra on series
-    coefficients and the decomposition is verified exactly before returning.
+    roots).  D2 is (1+Ax)^3 D(-x/(1+Ax)), so the second term is w/D2 with
+    w(x) = (1+Ax)^2 v(x/(1+Ax)), and the split is a two-term partial
+    fraction.  The product's poles are simple, at 1/(2 alpha_i) and
+    1/(alpha_j + alpha_k), so its denominator divides D(2x) D2, and with
+    P = r (binomial) s times D(2x) D2,
+
+        u D2 + w D(2x) = P,
+
+    a 6 x 6 Sylvester system in the coefficients of u and w, nonsingular
+    because D(2x) and D2 are coprime.  Then v(y) = sum_i w_i y^i (1-Ay)^(2-i),
+    and the decomposition is verified exactly before returning.
+
+    >>> t = RatFun(Poly.x(), Poly([1, -1, -1, -1]))  # tribonacci
+    >>> u, v = komatsu_decompose(t, t)
+    >>> print(u)
+    1/11 + 1/11*x + 10/11*x^2
+    >>> print(v)
+    -1/11 - 3/11*x + 6/11*x^2
     """
     den = r.den
     if s.den != den:
@@ -392,16 +409,19 @@ def komatsu_decompose(r: RatFun, s: RatFun) -> tuple[Poly, Poly]:
             "a root relation 2*alpha_i = alpha_j + alpha_k blocks the decomposition"
         )
     target = binomial_product(r, s)
-    d_neg = den.scale_arg(-1)
-    basis = [RatFun(Poly.monomial(i), d1) for i in range(3)]
-    basis += [RatFun(Poly.monomial(i), d_neg).compose_mobius(-a_) for i in range(3)]
-    order = 20
-    columns = [f.expand(order).coeffs for f in basis]
-    rows = [[col[n] for col in columns] for n in range(order)]
-    sol = solve_exact(rows, list(target.expand(order).coeffs))
+    try:
+        p = target.num * (d1 * d2).exact_div(target.den)
+    except DivisibilityError:
+        raise InternalInvariantViolation("product denominator does not divide D(2x)*D2") from None
+    # row n: the coefficient of x^n in u*D2 + w*D(2x)
+    rows = [[d2[n - i] for i in range(3)] + [d1[n - i] for i in range(3)] for n in range(6)]
+    sol = solve_exact(rows, [p[n] for n in range(6)])
     if sol is None:
         raise InternalInvariantViolation("decomposition system is inconsistent")
-    u, v = Poly(sol[:3]), Poly(sol[3:])
+    u = Poly(sol[:3])
+    back = Poly([1, -a_])
+    v = sum((Poly.monomial(i, w) * back ** (2 - i) for i, w in enumerate(sol[3:])), Poly())
+    d_neg = den.scale_arg(-1)
     reassembled = RatFun(u, d1) + RatFun(v, d_neg).compose_mobius(-a_)
     if reassembled != target:
         raise InternalInvariantViolation("decomposition failed exact verification")

@@ -9,8 +9,9 @@ to Z[x], in Python integers, and makes one `Fraction` per coefficient at
 the end.  The two series kernels, `series_binomial` (in Z) and
 `series_hadamard`, combine two prefixes coefficientwise.
 
-A sum, product or quotient takes one gcd to reach canonical form; negation
-and powers take none, because they keep a canonical pair canonical.
+A sum, product or quotient takes one gcd to reach canonical form; negation,
+powers and `RatFun.compose_scale` take none, because they keep a canonical
+pair canonical.
 
 `reconstruct_rational` recovers a rational function from enough series
 coefficients and degree bounds, by solving for the denominator first (a
@@ -323,8 +324,12 @@ class RatFun:
     # -- substitutions ---------------------------------------------------------
 
     def compose_scale(self, c) -> "RatFun":
-        """self(c*x)."""
-        return RatFun(self.num.scale_arg(c), self.den.scale_arg(c))
+        """self(c*x), with no gcd.
+
+        For c != 0, x -> c*x keeps num and den coprime and den(0) = 1.  For
+        c = 0 both collapse to their constant terms, num(0) over 1.
+        """
+        return RatFun._canonical(self.num.scale_arg(c), self.den.scale_arg(c))
 
     def compose_mobius(self, beta) -> "RatFun":
         """(1/(1-beta*x)) * self(x/(1-beta*x)).

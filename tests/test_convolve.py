@@ -8,6 +8,7 @@ import pytest
 
 from binprod import (
     DecompositionUnavailable,
+    InternalInvariantViolation,
     InvalidInput,
     METHODS,
     Poly,
@@ -510,6 +511,28 @@ class TestSharedCubicDecomposition:
         with pytest.raises(InvalidInput):
             improper = RatFun(Poly.monomial(3), Poly([1, -1, -1, -1]))
             komatsu_decompose(improper, improper)
+
+    @pytest.mark.parametrize("index", range(6))
+    def test_a_wrong_solution_fails_verification(self, monkeypatch, index):
+        solve = convolve.solve_exact
+
+        def perturbed(rows, rhs):
+            sol = solve(rows, rhs)
+            sol[index] += 1
+            return sol
+
+        monkeypatch.setattr(convolve, "solve_exact", perturbed)
+        t = RatFun(Poly.x(), Poly([1, -1, -1, -1]))
+        with pytest.raises(InternalInvariantViolation, match="decomposition failed exact verification"):
+            komatsu_decompose(t, t)
+
+    def test_a_product_outside_the_split_is_an_internal_error(self, monkeypatch):
+        # 1 - 7x divides neither D(2x) nor D2, so the exact division fails;
+        # that is binprod's fault, not a DivisibilityError about the input
+        monkeypatch.setattr(convolve, "binomial_product", lambda r, s: RatFun.geometric(7))
+        t = RatFun(Poly.x(), Poly([1, -1, -1, -1]))
+        with pytest.raises(InternalInvariantViolation, match="does not divide"):
+            komatsu_decompose(t, t)
 
 
 class TestRouteIndependence:

@@ -4,11 +4,12 @@ Operands have denominator degree 0-3 and cover improper numerators, pure
 polynomials, repeated roots and non-integer rational coefficients; pairs
 with colliding root products or sums and constant operands are checked
 too.  The symfun denominators are also checked against the resultant ones
-on their own, including pairs whose root sums cancel.  Printed functions
-read back through the expression language.  The command line is fed
-generated expressions and raw junk, and must end every call in a
-documented exit code.  The draws are derandomized, so every run checks
-the same examples.
+on their own, including pairs whose root sums cancel.  The shared-cubic
+split exists exactly when a sympy resultant says it should, and then sums
+back to the symfun product.  Printed functions read back through the
+expression language.  The command line is fed generated expressions and
+raw junk, and must end every call in a documented exit code.  The draws
+are derandomized, so every run checks the same examples.
 """
 
 import contextlib
@@ -20,11 +21,18 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from binprod import METHODS, Poly, RatFun, binomial_product, hadamard_product  # noqa: E402
+from binprod import (  # noqa: E402
+    METHODS,
+    DecompositionUnavailable,
+    Poly,
+    RatFun,
+    binomial_product,
+    hadamard_product,
+)
 from binprod.cli import evaluate_text, main  # noqa: E402
-from binprod.convolve import binomial_denominator, hadamard_denominator  # noqa: E402
+from binprod.convolve import binomial_denominator, hadamard_denominator, komatsu_decompose  # noqa: E402
 from binprod.symfun import denominator_via_symfun  # noqa: E402
 
 scalars = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
@@ -166,6 +174,49 @@ def test_symfun_denominators_match_resultants_when_root_sums_cancel(pair):
     u, v = pair
     assert binomial_denominator(u, v).degree < u.degree * v.degree
     assert_symfun_matches_resultants(u, v)
+
+
+@st.composite
+def shared_cubics(draw):
+    """(r, s), proper and nonzero over one D = 1 + A x + B x^2 + C x^3 with C != 0.
+
+    Half the draws put D's reciprocal roots in an arithmetic progression
+    a - d, a, a + d, so that 2 alpha_i = alpha_j + alpha_k (d = 0 gives a
+    triple root); the others draw rational A, B and C.
+    """
+    if draw(st.booleans()):
+        a, d = draw(nonzero), draw(scalars)
+        assume(a - d and a + d)
+        den = math.prod((Poly([1, -r]) for r in (a - d, a, a + d)), start=Poly.one())
+    else:
+        den = Poly([1, draw(scalars), draw(scalars), draw(nonzero)])
+    r, s = (RatFun(Poly(draw(st.lists(scalars, min_size=1, max_size=3))), den) for _ in range(2))
+    # a numerator sharing a factor with D would change the denominator
+    assume(r and s and r.den == den and s.den == den)
+    return r, s
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(shared_cubics())
+def test_komatsu_decomposition_exists_exactly_when_the_resultant_is_nonzero(pair):
+    sympy = pytest.importorskip("sympy")
+    r, s = pair
+    den = r.den
+    x = sympy.symbols("x")
+    big_d = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(den.coeffs))
+    a = sympy.Rational(den[1].numerator, den[1].denominator)
+    # D2 = (1+Ax)^3 D(-x/(1+Ax)), whose reciprocal roots are alpha_j + alpha_k
+    d2 = sympy.cancel((1 + a * x) ** 3 * big_d.subs(x, -x / (1 + a * x)))
+    if sympy.resultant(big_d.subs(x, 2 * x), d2, x) == 0:
+        with pytest.raises(DecompositionUnavailable):
+            komatsu_decompose(r, s)
+        return
+    u, v = komatsu_decompose(r, s)
+    assert u.degree <= 2 and v.degree <= 2
+    split = RatFun(u, den.scale_arg(2)) + binomial_product(
+        RatFun.geometric(-den[1]), RatFun(v, den.scale_arg(-1)), method="symfun"
+    )
+    assert split == binomial_product(r, s, method="symfun")
 
 
 # every sequence name and one unknown; arities are drawn independently, so

@@ -15,6 +15,7 @@ from binprod import (
     RatFun,
     ReconstructionFailed,
     Series,
+    named_gf,
     reconstruct_rational,
 )
 from binprod.polycore import BiPoly
@@ -284,6 +285,23 @@ class TestSubstitutions:
             got = f.compose_scale(c).expand(10).coeffs
             base = f.expand(10).coeffs
             assert got == tuple(a * c**n for n, a in enumerate(base))
+
+    NAMED = [("fib", ()), ("lucas", ()), ("pell", ()), ("trib", ()), ("trib", (5, -1, 2)), ("perrin", ()),
+             ("jacobsthal", ()), ("q", (3,)), ("r", ()), ("g", (1, 2))]
+
+    @pytest.mark.parametrize("c", [0, 1, -1, 2, Fraction(-1, 3)])
+    def test_compose_scale_is_canonical_without_a_gcd(self, monkeypatch, c):
+        fs = [named_gf(name, params).gf for name, params in self.NAMED]
+        fs.append(RatFun(Poly([Fraction(1, 2), Fraction(-2, 3), 3]), Poly([1, Fraction(3, 4), 0, Fraction(-5, 7)])))
+        want = [RatFun(f.num.scale_arg(c), f.den.scale_arg(c)) for f in fs]
+
+        def no_gcd(*args):
+            raise AssertionError("compose_scale took a gcd")
+
+        monkeypatch.setattr(ratfun, "poly_gcd", no_gcd)
+        for f, w in zip(fs, want):
+            got = f.compose_scale(c)
+            assert (got.num.coeffs, got.den.coeffs) == (w.num.coeffs, w.den.coeffs)
 
     def test_compose_mobius_is_binomial_with_geometric(self):
         rng = random.Random(19)
