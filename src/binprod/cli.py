@@ -6,11 +6,11 @@ also spelled ⊙) and ``hprod`` (the Hadamard product, also spelled ∗).
 The product operators bind loosest, ``^`` binds tightest, and adjacency
 is multiplication, so ``2x obprod fib`` means ``(2*x) obprod fib``.
 
-The AST nodes (`Num`, `Var`, `Seq`, `Neg`, `Pow` and the binary nodes
-`Add`, `Sub`, `Mul`, `Div`, `BProd`, `HProd`) are plain immutable classes
-on `record.Record`, all subclasses of `Expr`: a node equals another only
-if both have the same type and equal fields.  Importing this module
-generates no code for them.
+`parse_expression` turns a text into a flat postfix program, and
+`evaluate_text` runs that program on one value stack.  A text is parsed
+whole before any of it is computed, so a syntax error after an expensive
+product costs no product, and every command parses all of its operands
+before it evaluates the first.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .convolve import (
     hadamard_product,
 )
 from .errors import BinprodError, InternalInvariantViolation, InvalidInput, ParseError
-from .polycore import Poly, format_poly, _signed_sum
+from .polycore import Poly, _check_int, _signed_sum, format_poly
 from .ratfun import RatFun, Series, format_ratfun, reconstruct_rational
 from .record import Record
 from .seqlib import named_gf, run_identity_suite, sequence_descriptions
@@ -87,81 +87,32 @@ def tokenize(text: str) -> list[Token]:
 
 
 # ---------------------------------------------------------------------------
-# syntax trees
-
-
-class Expr(Record):
-    """Base of the syntax tree nodes; each subclass names its fields in _fields."""
-
-    __slots__ = ()
-
-
-class Num(Expr):
-    __slots__ = _fields = ("value",)
-
-
-class Var(Expr):
-    __slots__ = ()
-
-
-class Seq(Expr):
-    __slots__ = _fields = ("name", "args")
-    _defaults = {"args": ()}
-
-
-class Neg(Expr):
-    __slots__ = _fields = ("operand",)
-
-
-class Pow(Expr):
-    __slots__ = _fields = ("base", "exponent")
-
-
-class _Binary(Expr):
-    __slots__ = _fields = ("left", "right")
-
-
-class Add(_Binary):
-    __slots__ = ()
-
-
-class Sub(_Binary):
-    __slots__ = ()
-
-
-class Mul(_Binary):
-    __slots__ = ()
-
-
-class Div(_Binary):
-    __slots__ = ()
-
-
-class BProd(_Binary):
-    __slots__ = ()
-
-
-class HProd(_Binary):
-    __slots__ = ()
-
-
-# the concrete node classes, the only values `evaluate` accepts
-_NODES = frozenset((Num, Var, Seq, Neg, Pow, Add, Sub, Mul, Div, BProd, HProd))
-
-
-# ---------------------------------------------------------------------------
 # parser
 
-
-# the two series products, by word and by unicode operator
-_PRODUCTS = {"obprod": BProd, "hprod": HProd, "⊙": BProd, "∗": HProd}
+# the four arithmetic operators, and the two series products by word and by
+# unicode operator; a product names the function of this module it calls,
+# looked up when the program runs
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_PRODUCTS = {
+    "obprod": "binomial_product",
+    "⊙": "binomial_product",
+    "hprod": "hadamard_product",
+    "∗": "hadamard_product",
+}
 
 
 class _Parser:
+    """Recursive descent from tokens to a postfix program.
+
+    Each parse method appends the instructions of what it parsed to
+    ``self.program``; see `parse_expression` for the instructions.
+    """
+
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.index = 0
         self.depth = 0
+        self.program: list = []
 
     def open_level(self, tok: Token) -> None:
         """Enter the nesting level that ``tok`` opens; at most MAX_NESTING."""
@@ -198,58 +149,64 @@ class _Parser:
             return "end of input"
         return f"{tok.kind} {tok.text!r}"
 
-    def parse(self) -> Expr:
-        node = self.parse_expr()
+    def parse(self) -> list:
+        program = self.parse_program()
         tok = self.peek()
         if tok.kind != _END:
             raise ParseError(
                 f"unexpected {self._describe(tok)}", tok.pos, expected=("operator", "end of input")
             )
-        return node
+        return program
 
-    def parse_expr(self) -> Expr:
+    def parse_program(self) -> list:
+        """Parse one expression into a program of its own."""
+        outer, self.program = self.program, []
+        self.parse_expr()
+        program, self.program = self.program, outer
+        return program
+
+    def parse_expr(self) -> None:
         # series products bind loosest and associate to the left
-        node = self.parse_sum()
+        self.parse_sum()
         while self.peek().text in _PRODUCTS:
             product = _PRODUCTS[self.advance().text]
-            node = product(node, self.parse_sum())
-        return node
+            self.parse_sum()
+            self.program.append(("op", product))
 
-    def parse_sum(self) -> Expr:
-        node = self.parse_term()
+    def parse_sum(self) -> None:
+        self.parse_term()
         while self.at_op("+", "-"):
             op = self.advance().text
-            rhs = self.parse_term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            self.parse_term()
+            self.program.append(("op", op))
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
+    def parse_term(self) -> None:
+        self.parse_unary()
         while True:
             tok = self.peek()
             if tok.kind == _OP and tok.text in ("*", "/"):
                 self.advance()
-                rhs = self.parse_unary()
-                node = Mul(node, rhs) if tok.text == "*" else Div(node, rhs)
-            elif tok.kind == _NAME and tok.text not in _PRODUCTS:
-                node = Mul(node, self.parse_power())
-            elif tok.kind == _OP and tok.text == "(":
-                node = Mul(node, self.parse_power())
+                self.parse_unary()
+                self.program.append(("op", tok.text))
+            elif (tok.kind == _NAME and tok.text not in _PRODUCTS) or (tok.kind == _OP and tok.text == "("):
+                self.parse_power()
+                self.program.append(("op", "*"))
             else:
-                return node
+                return
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> None:
         if self.at_op("-"):
             self.open_level(self.advance())
-            node = Neg(self.parse_unary())
+            self.parse_unary()
+            self.program.append(("neg",))
             self.depth -= 1
-            return node
-        return self.parse_power()
+        else:
+            self.parse_power()
 
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+    def parse_power(self) -> None:
+        self.parse_atom()
         if not self.at_op("^"):
-            return base
+            return
         self.advance()
         sign = 1
         if self.at_op("-"):
@@ -261,42 +218,48 @@ class _Parser:
                 f"unexpected {self._describe(tok)}", tok.pos, expected=("integer exponent",)
             )
         self.advance()
-        return Pow(base, sign * int(tok.text))
+        self.program.append(("pow", sign * int(tok.text)))
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> None:
         tok = self.peek()
         if tok.kind == _NUMBER:
             self.advance()
-            return Num(int(tok.text))
-        if tok.kind == _NAME and tok.text not in _PRODUCTS:
+            self.program.append(("push", RatFun(int(tok.text))))
+        elif tok.kind == _NAME and tok.text not in _PRODUCTS:
             self.advance()
             if tok.text == "x":
-                return Var()
+                self.program.append(("push", RatFun(Poly.x())))
+                return
+            args = []
             if self.at_op("("):
                 self.open_level(self.advance())
-                args = []
                 if not self.at_op(")"):
-                    args.append(self.parse_expr())
+                    args.append(self.parse_program())
                     while self.at_op(","):
                         self.advance()
-                        args.append(self.parse_expr())
+                        args.append(self.parse_program())
                 self.close_level()
-                return Seq(tok.text, tuple(args))
-            return Seq(tok.text)
-        if tok.kind == _OP and tok.text == "(":
+            self.program.append(("seq", tok.text, tuple(args)))
+        elif tok.kind == _OP and tok.text == "(":
             self.open_level(self.advance())
-            node = self.parse_expr()
+            self.parse_expr()
             self.close_level()
-            return node
-        raise ParseError(
-            f"unexpected {self._describe(tok)}", tok.pos, expected=("number", "name", "'('")
-        )
+        else:
+            raise ParseError(
+                f"unexpected {self._describe(tok)}", tok.pos, expected=("number", "name", "'('")
+            )
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse the expression language; raises ParseError with a position.
+def parse_expression(text: str) -> list:
+    """Parse the expression language into a postfix program, or raise ParseError.
 
-    Parentheses and unary minus signs may nest at most MAX_NESTING deep.
+    The program is a list of instructions for one value stack:
+    ``("push", value)``, ``("neg",)``, ``("pow", k)``, ``("op", name)`` for
+    the four arithmetic operators and the two products, and
+    ``("seq", name, args)`` for a named sequence with one program per
+    parameter.  Parentheses and unary minus signs may nest at most
+    MAX_NESTING deep; a ParseError carries the position of the token at
+    fault.
     """
     return _Parser(text).parse()
 
@@ -311,64 +274,35 @@ def _constant_param(value: RatFun, name: str) -> Fraction:
     return value.num.constant_term
 
 
-def _operands(e: Expr) -> list[Expr]:
-    """The fields of node e that are nodes, in order.
-
-    A sequence's arguments are a tuple, not nodes: it evaluates them itself,
-    and they nest at most MAX_NESTING deep.
-    """
-    if type(e) not in _NODES:
-        raise InvalidInput(f"not an expression node: {e!r}")
-    return [v for name in e._fields if isinstance(v := getattr(e, name), Expr)]
-
-
-_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
-
-
-def _apply(e: Expr, values: list[RatFun]) -> RatFun:
-    """The value of node e, given the values of its operands in order."""
-    if isinstance(e, Num):
-        return RatFun(e.value)
-    if isinstance(e, Var):
-        return RatFun(Poly.x())
-    if isinstance(e, Seq):
-        params = [_constant_param(evaluate(a), e.name) for a in e.args]
-        return named_gf(e.name, params).gf
-    if isinstance(e, Neg):
-        return -values[0]
-    if isinstance(e, Pow):
-        return values[0] ** e.exponent
-    if isinstance(e, BProd):
-        return binomial_product(*values)
-    if isinstance(e, HProd):
-        return hadamard_product(*values)
-    return _ARITHMETIC[type(e)](*values)
-
-
-def evaluate(e: Expr) -> RatFun:
-    """Evaluate an AST to an exact rational power series.
-
-    Operands are evaluated left to right, with an explicit stack: a flat sum
-    of n terms parses to a tree n deep.
-    """
-    values: list[RatFun] = []
-    todo = [(e, False)]
-    while todo:
-        node, ready = todo.pop()
-        operands = _operands(node)
-        if operands and not ready:
-            todo.append((node, True))
-            todo.extend((o, False) for o in reversed(operands))
-            continue
-        split = len(values) - len(operands)
-        result = _apply(node, values[split:])
-        del values[split:]
-        values.append(result)
-    return values[0]
+def _run(program: list) -> RatFun:
+    """The value of a program from `parse_expression`, run left to right."""
+    stack: list[RatFun] = []
+    for instr in program:
+        kind = instr[0]
+        if kind == "push":
+            stack.append(instr[1])
+        elif kind == "neg":
+            stack.append(-stack.pop())
+        elif kind == "pow":
+            stack.append(stack.pop() ** instr[1])
+        elif kind == "seq":
+            _, name, args = instr
+            stack.append(named_gf(name, [_constant_param(_run(a), name) for a in args]).gf)
+        else:
+            name = instr[1]
+            right, left = stack.pop(), stack.pop()
+            apply = _ARITHMETIC[name] if name in _ARITHMETIC else globals()[name]
+            stack.append(apply(left, right))
+    return stack[0]
 
 
 def evaluate_text(text: str) -> RatFun:
-    return evaluate(parse_expression(text))
+    """Parse ``text`` whole, then evaluate it to an exact rational power series.
+
+    >>> print(evaluate_text("fib obprod pell"))
+    (2*x^2 - 3*x^3) / (1 - 6*x + 7*x^2 + 6*x^3 - 9*x^4)
+    """
+    return _run(parse_expression(text))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +326,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
-    if args.terms < 0:
-        raise InvalidInput("-n must be nonnegative")
+    _check_int(args.terms, "-n")
     series = evaluate_text(args.expr).expand(args.terms)
     if args.json:
         print(json.dumps({"coeffs": [str(c) for c in series.coeffs]}))
@@ -403,9 +336,14 @@ def _cmd_coeffs(args) -> int:
     return 0
 
 
+def _left_and_right(args) -> tuple[RatFun, RatFun]:
+    """The values of both operands; both parse before either is computed."""
+    left, right = parse_expression(args.left), parse_expression(args.right)
+    return _run(left), _run(right)
+
+
 def _product_command(args, kind: str) -> int:
-    a = evaluate_text(args.left)
-    b = evaluate_text(args.right)
+    a, b = _left_and_right(args)
     compute = binomial_product if kind == "binomial" else hadamard_product
     if args.cross_check:
         results = [(m, compute(a, b, method=m)) for m in METHODS]
@@ -431,8 +369,7 @@ def _cmd_hprod(args) -> int:
 
 
 def _cmd_denominator(args) -> int:
-    a = evaluate_text(args.left)
-    b = evaluate_text(args.right)
+    a, b = _left_and_right(args)
     compute = binomial_denominator if args.kind == "binomial" else hadamard_denominator
     result = compute(a.den, b.den)
     if args.json:

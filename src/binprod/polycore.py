@@ -64,6 +64,18 @@ def _fr(value) -> Fraction:
     raise InvalidInput(f"expected an integer or Fraction, got {value!r}")
 
 
+def _check_int(value, what: str, nonnegative: bool = True) -> int:
+    """``value`` when it is an int, nonnegative unless ``nonnegative`` is false.
+
+    Anything else raises InvalidInput, a bool too: it is not an integer here.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{what} must be an integer, not {type(value).__name__}")
+    if nonnegative and value < 0:
+        raise InvalidInput(f"{what} must be nonnegative")
+    return value
+
+
 def _convolve(a: Sequence, b: Sequence) -> list:
     """Schoolbook product of two nonempty coefficient sequences over any ring.
 
@@ -220,8 +232,7 @@ class _DensePoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"{type(self).__name__} exponent must be a nonnegative integer")
+        _check_int(k, f"{type(self).__name__} exponent")
         out = self._make([self._coeff(1)])
         base = self
         while k:
@@ -319,9 +330,7 @@ class Poly(_DensePoly):
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
-        if k < 0:
-            raise InvalidInput("monomial exponent must be nonnegative")
-        return Poly([0] * k + [c])
+        return Poly([0] * _check_int(k, "monomial exponent") + [c])
 
     @property
     def constant_term(self) -> Fraction:
@@ -404,8 +413,7 @@ class Poly(_DensePoly):
 
     def shift(self, k: int) -> "Poly":
         """x^k * self."""
-        if k < 0:
-            raise InvalidInput("shift amount must be nonnegative")
+        _check_int(k, "shift amount")
         if self.is_zero():
             return self
         return Poly._make([Fraction(0)] * k + list(self.coeffs))

@@ -32,7 +32,7 @@ from .errors import (
     NotAPowerSeries,
     ReconstructionFailed,
 )
-from .polycore import Poly, Scalar, _cleared, _fr, format_poly, poly_gcd, solve_exact
+from .polycore import Poly, Scalar, _check_int, _cleared, _fr, format_poly, poly_gcd, solve_exact
 
 
 class Series:
@@ -260,9 +260,7 @@ class RatFun:
         return o / self
 
     def __pow__(self, k: int):
-        if not isinstance(k, int):
-            raise ValueError("RatFun exponent must be an integer")
-        if k < 0:
+        if _check_int(k, "RatFun exponent", nonnegative=False) < 0:
             if self.is_zero():
                 raise DivisionByZero("0 cannot be raised to a negative power")
             return RatFun._quotient(self.den ** (-k), self.num ** (-k))
@@ -292,8 +290,7 @@ class RatFun:
         >>> RatFun(Poly([1]), Poly([1, Fraction(-1, 2)])).expand(4).coeffs
         (Fraction(1, 1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
         """
-        if order < 0:
-            raise InvalidInput("expansion order must be nonnegative")
+        _check_int(order, "expansion order")
         (nums, ln), (den_ints, ld) = _cleared(self.num.coeffs[:order]), _cleared(self.den.coeffs)
         # taps[d - j] = D_j ld^(j-1), so the sum pairs the last k taps with
         # the last k values of C
@@ -391,8 +388,8 @@ def reconstruct_rational(s: Series, max_den_deg: int, max_num_deg: int) -> RatFu
     """
     if not isinstance(s, Series):
         raise InvalidInput(f"reconstruction needs a Series, not {type(s).__name__}")
-    if max_den_deg < 0 or max_num_deg < 0:
-        raise InvalidInput("degree bounds must be nonnegative")
+    for bound in (max_den_deg, max_num_deg):
+        _check_int(bound, "degree bounds")
     needed = max_num_deg + max_den_deg + 3
     if s.order < needed:
         raise InvalidInput(

@@ -26,26 +26,12 @@ from binprod import (
 )
 import binprod.cli as cli
 from binprod import convolve, pfrac, ratfun
-from binprod.cli import (
-    Add,
-    BProd,
-    Div,
-    HProd,
-    Mul,
-    Neg,
-    Num,
-    Pow,
-    Seq,
-    Sub,
-    Var,
-    evaluate_text,
-    main,
-    parse_expression,
-    tokenize,
-)
+from binprod.cli import evaluate_text, main, parse_expression, tokenize
 
 FIB = named_gf("fib").gf
 PELL = named_gf("pell").gf
+LUCAS = named_gf("lucas").gf
+X = RatFun(Poly.x())
 
 # expressions exercising every operator, both unicode spellings, implicit
 # multiplication, signed exponents, and sequence parameters
@@ -86,29 +72,26 @@ class TestTokenizer:
 
 class TestParser:
     def test_product_operators_bind_loosest(self):
-        got = parse_expression("fib obprod pell + x")
-        assert got == BProd(Seq("fib"), Add(Seq("pell"), Var()))
-        got = parse_expression("fib hprod pell * x")
-        assert got == HProd(Seq("fib"), Mul(Seq("pell"), Var()))
+        assert evaluate_text("fib obprod pell + x") == binomial_product(FIB, PELL + X)
+        assert evaluate_text("fib hprod pell * x") == hadamard_product(FIB, PELL * X)
 
     def test_left_associative_chains(self):
-        got = parse_expression("fib obprod pell obprod lucas")
-        assert got == BProd(BProd(Seq("fib"), Seq("pell")), Seq("lucas"))
-        got = parse_expression("1 - x - x^2")
-        assert got == Sub(Sub(Num(1), Var()), Pow(Var(), 2))
+        got = evaluate_text("fib obprod pell hprod lucas")
+        assert got == hadamard_product(binomial_product(FIB, PELL), LUCAS)
+        assert got != binomial_product(FIB, hadamard_product(PELL, LUCAS))
+        assert evaluate_text("1 - x - x^2") == (1 - X) - X**2
 
     def test_implicit_multiplication(self):
-        assert parse_expression("2x^2") == Mul(Num(2), Pow(Var(), 2))
-        assert parse_expression("x(1+x)") == Mul(Var(), Add(Num(1), Var()))
-        assert parse_expression("2 fib") == Mul(Num(2), Seq("fib"))
+        assert evaluate_text("2x^2") == 2 * X**2
+        assert evaluate_text("x(1+x)") == X * (1 + X)
+        assert evaluate_text("2 fib") == 2 * FIB
 
     def test_unary_minus_and_signed_exponent(self):
-        assert parse_expression("-x^2") == Neg(Pow(Var(), 2))
-        assert parse_expression("(1-x)^-1") == Pow(Sub(Num(1), Var()), -1)
+        assert evaluate_text("-x^2") == -(X**2)
+        assert evaluate_text("(1-x)^-1") == (1 - X) ** -1
 
     def test_sequence_arguments(self):
-        got = parse_expression("g(1/2, -3)")
-        assert got == Seq("g", (Div(Num(1), Num(2)), Neg(Num(3))))
+        assert evaluate_text("g(1/2, -3)") == named_gf("g", [Fraction(1, 2), -3]).gf
 
     def test_unclosed_parenthesis(self):
         with pytest.raises(ParseError) as exc:
@@ -171,11 +154,6 @@ class TestEvaluation:
         for text in CORPUS:
             f = evaluate_text(text)
             assert evaluate_text(str(f)) == f, text
-
-    @pytest.mark.parametrize("value", ["fib", 3, None, cli.Expr(), cli._Binary(Num(1), Var())], ids=repr)
-    def test_only_nodes_evaluate(self, value):
-        with pytest.raises(InvalidInput, match="not an expression node"):
-            cli.evaluate(value)
 
 
 class TestMainCommand:
@@ -388,6 +366,49 @@ class TestMainCommand:
         out = capsys.readouterr().out
         for name in ("fib", "lucas", "pell", "trib", "perrin", "jacobsthal"):
             assert f"{name}:" in out
+
+
+class TestParseBeforeCompute:
+    """A command parses every text it is given before it computes anything."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        for name in ("binomial_product", "hadamard_product"):
+
+            def spy(*args, real=getattr(cli, name), **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, spy)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bprod", "fib obprod pell", "x +"],
+            ["denominator", "fib obprod pell", "x +", "--kind", "binomial"],
+            # the left operand alone would fail to evaluate, with exit 1
+            ["hprod", "1/x", "x +"],
+        ],
+        ids=" ".join,
+    )
+    def test_two_operand_commands_parse_both_first(self, capsys, products, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("parse error: unexpected end of input at position 3")
+        assert products == []
+
+    @pytest.mark.parametrize("text", ["fib obprod pell +", "(fib hprod pell"])
+    @pytest.mark.parametrize("command", [["eval"], ["coeffs", "-n", "5"], ["recurrence"]], ids=" ".join)
+    def test_single_text_commands_parse_first(self, capsys, products, command, text):
+        assert main([command[0], text, *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith("parse error:")
+        assert products == []
+
+    def test_the_spies_see_every_product(self, capsys, products):
+        assert main(["bprod", "fib hprod pell", "fib obprod pell"]) == 0
+        assert products == ["hadamard_product", "binomial_product", "binomial_product"]
+        capsys.readouterr()
 
 
 def run_in_process(capsys, argv):

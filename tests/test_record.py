@@ -6,29 +6,84 @@ import pickle
 import pytest
 
 from binprod import Poly, named_gf
+from binprod.cli import Token
 from binprod.convolve import ProductPlan
-from binprod.seqlib import IdentityCheck, IdentityReport, NamedGF
-from binprod.cli import Add, BProd, Div, Expr, HProd, Mul, Neg, Num, Pow, Seq, Sub, Token, Var
 from binprod.record import Record
+from binprod.seqlib import IdentityCheck, IdentityReport, NamedGF
+
+
+# A small expression tree of Record classes: a class with no fields, one
+# with a default, and six with the same two fields.
+
+
+class Node(Record):
+    __slots__ = ()
+
+
+class Num(Node):
+    __slots__ = _fields = ("value",)
+
+
+class Var(Node):
+    __slots__ = ()
+
+
+class Seq(Node):
+    __slots__ = _fields = ("name", "args")
+    _defaults = {"args": ()}
+
+
+class Neg(Node):
+    __slots__ = _fields = ("operand",)
+
+
+class Pow(Node):
+    __slots__ = _fields = ("base", "exponent")
+
+
+class Binary(Node):
+    __slots__ = _fields = ("left", "right")
+
+
+class Add(Binary):
+    __slots__ = ()
+
+
+class Sub(Binary):
+    __slots__ = ()
+
+
+class Mul(Binary):
+    __slots__ = ()
+
+
+class Div(Binary):
+    __slots__ = ()
+
+
+class BProd(Binary):
+    __slots__ = ()
+
+
+class HProd(Binary):
+    __slots__ = ()
+
 
 A, B = Num(1), Var()
 BINARY = (Add, Sub, Mul, Div, BProd, HProd)
 CHECK = IdentityCheck("a", "slug", "what it says", "no parameters", "pass")
 
-# one instance of each of the 16 classes
+# one instance of each Record class of binprod
 INSTANCES = [
     Token("op", "+", 2),
-    A,
-    B,
-    Seq("g", (A, Neg(B))),
-    Neg(A),
-    Pow(B, -2),
-    *(cls(A, B) for cls in BINARY),
     ProductPlan(Poly([1, -1]), 3),
     named_gf("fib"),
     CHECK,
     IdentityReport((CHECK,)),
 ]
+# and of each class above but Node and Binary
+SAMPLES = [A, B, Seq("g", (A, Neg(B))), Neg(A), Pow(B, -2), *(cls(A, B) for cls in BINARY)]
+VALUES = INSTANCES + SAMPLES
 
 
 class TestEquality:
@@ -38,7 +93,7 @@ class TestEquality:
             assert (cls(A, B) == other(A, B)) == (cls is other)
         assert cls(A, B) != (A, B)
 
-    @pytest.mark.parametrize("value", INSTANCES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_equal_copies_hash_equal(self, value):
         twin = type(value)(*(getattr(value, name) for name in value._fields))
         assert twin is not value
@@ -58,7 +113,7 @@ class TestEquality:
 
 
 class TestImmutability:
-    @pytest.mark.parametrize("value", INSTANCES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_fields_cannot_be_assigned_or_added(self, value):
         for name in value._fields:
             with pytest.raises(AttributeError):
@@ -69,7 +124,7 @@ class TestImmutability:
             value.extra = 1
         assert not hasattr(value, "__dict__")
 
-    @pytest.mark.parametrize("value", INSTANCES, ids=lambda v: type(v).__name__)
+    @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
     def test_copy_and_pickle_rebuild_equal_values(self, value):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value)
@@ -141,8 +196,9 @@ class TestConstruction:
             assert type(value)(*value._values()) == value
 
     def test_class_layout(self):
-        for value in INSTANCES:
+        for value in VALUES:
             assert isinstance(value, Record)
-        for cls in (Num, Var, Seq, Neg, Pow, *BINARY):
-            assert issubclass(cls, Expr)
-        assert not issubclass(Token, Expr)
+        for value in SAMPLES:
+            assert isinstance(value, Node)
+        # the command line's one value class is its token
+        assert [cls for cls in Record.__subclasses__() if cls.__module__ == "binprod.cli"] == [Token]

@@ -26,11 +26,11 @@ def test_reimport_leaves_no_old_module_alive():
     try:
         cli = _fresh_cli()
         cli.main(["bprod", "fib", "pell"])
-        node_class, function = weakref.ref(cli.Num), weakref.ref(cli.parse_expression)
+        parser_class, function = weakref.ref(cli._Parser), weakref.ref(cli.parse_expression)
         del cli
         _fresh_cli()
         gc.collect()
-        assert node_class() is None, "an old binprod.cli AST class outlived its module"
+        assert parser_class() is None, "an old binprod.cli class outlived its module"
         assert function() is None, "an old binprod.cli function outlived its module"
     finally:
         for name in _loaded_binprod():

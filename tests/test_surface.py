@@ -116,3 +116,29 @@ def test_internal_name_imports_from_its_module_only(module, name):
     assert hasattr(importlib.import_module(f"binprod.{module}"), name)
     with pytest.raises(ImportError):
         exec(f"from binprod import {name}", {})
+
+
+# every integer argument of the library goes through one check; a bool is
+# not an integer there
+SERIES = binprod.named_gf("fib").gf.expand(12)
+BAD_INTEGER_CALLS = {
+    "RatFun ** 1.5": lambda: binprod.RatFun(binprod.Poly.x()) ** 1.5,
+    "RatFun ** True": lambda: binprod.RatFun(binprod.Poly.x()) ** True,
+    "Poly ** -1": lambda: binprod.Poly([1, 2]) ** -1,
+    "Poly ** '2'": lambda: binprod.Poly([1, 2]) ** "2",
+    "expand('3')": lambda: binprod.named_gf("fib").gf.expand("3"),
+    "expand(-1)": lambda: binprod.named_gf("fib").gf.expand(-1),
+    "reconstruct_rational(s, 1.5, 1)": lambda: binprod.reconstruct_rational(SERIES, 1.5, 1),
+    "reconstruct_rational(s, True, 1)": lambda: binprod.reconstruct_rational(SERIES, True, 1),
+    "reconstruct_rational(s, 2, -1)": lambda: binprod.reconstruct_rational(SERIES, 2, -1),
+    "Poly.monomial(1.5)": lambda: binprod.Poly.monomial(1.5),
+    "Poly.monomial(-1)": lambda: binprod.Poly.monomial(-1),
+    "shift(True)": lambda: binprod.Poly([1, 2]).shift(True),
+    "shift(None)": lambda: binprod.Poly([1, 2]).shift(None),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INTEGER_CALLS.values(), ids=BAD_INTEGER_CALLS)
+def test_integer_arguments_raise_invalid_input(call):
+    with pytest.raises(binprod.InvalidInput, match="must be (an integer, not|nonnegative)"):
+        call()
