@@ -17,8 +17,11 @@ class NotAPowerSeries(BinprodError):
     """The denominator vanishes at 0, so the value has no power series expansion."""
 
 
-class DivisionByZero(BinprodError):
-    """Division by the zero function."""
+class DivisionByZero(BinprodError, ZeroDivisionError):
+    """Division by zero: the zero function, polynomial or scalar.
+
+    Also a `ZeroDivisionError`, so code that catches Python's own still works.
+    """
 
 
 class ReconstructionFailed(BinprodError):

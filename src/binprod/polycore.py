@@ -51,7 +51,7 @@ from functools import cache
 from itertools import count, islice
 from math import comb, gcd as int_gcd, isqrt, lcm
 
-from .errors import DivisibilityError, InvalidInput
+from .errors import DivisibilityError, DivisionByZero, InvalidInput
 
 Scalar = (int, Fraction)
 
@@ -131,7 +131,11 @@ class _DensePoly:
 
     def __init__(self, coeffs: Iterable = ()):
         coerce = self._coeff
-        vals = [coerce(c) for c in coeffs]
+        try:
+            it = iter(coeffs)
+        except TypeError:
+            raise InvalidInput(f"coefficients must be iterable, not {type(coeffs).__name__}") from None
+        vals = [coerce(c) for c in it]
         while vals and not vals[-1]:
             vals.pop()
         self.coeffs = tuple(vals)
@@ -276,7 +280,7 @@ class _DensePoly:
         """
         b = other.coeffs
         if not b:
-            raise ZeroDivisionError("polynomial division by zero")
+            raise DivisionByZero("polynomial division by zero")
         n, top = len(b) - 1, len(self.coeffs) - len(b)
         if top < 0:
             return self._make([]), self, 0
@@ -360,7 +364,7 @@ class Poly(_DensePoly):
         if isinstance(other, Scalar):
             c = _fr(other)
             if not c:
-                raise ZeroDivisionError("division of a Poly by zero")
+                raise DivisionByZero("division of a Poly by zero")
             return Poly._make([a / c for a in self.coeffs])
         return NotImplemented
 
@@ -379,7 +383,7 @@ class Poly(_DensePoly):
         if o is None:
             raise TypeError(f"cannot divide a Poly by {type(other).__name__}")
         if not o.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
+            raise DivisionByZero("polynomial division by zero")
         (ints_a, sa), (ints_b, sb) = _cleared(self.coeffs), _cleared(o.coeffs)
         content = int_gcd(*ints_b)
         try:

@@ -17,7 +17,8 @@ to the two power-sum series.  Newton's identity
 then gives the coefficients d_k of the product denominator without ever
 computing a root (`denominator_from_power_sums`).  This is a second, fully
 independent route to the product denominators computed by resultants in
-`convolve`.
+`convolve`.  For two operands over one square-free denominator,
+`symmetric_square_via_symfun` gives the product over unordered pairs only.
 
 The identities run on integers.  With L the lcm of the denominators of D's
 coefficients, D(Lx) = prod(1 - L alpha_i x) has integer coefficients and
@@ -118,5 +119,41 @@ def denominator_via_symfun(uden: Poly, vden: Poly, kind: str) -> Poly:
     pp = combine(power_sums(uden.scale_arg(lu), m * n), power_sums(vden.scale_arg(lv), m * n))
     if pp[0] != m * n:
         raise InternalInvariantViolation("combined p_0 must be m*n")
-    d = denominator_from_power_sums(pp).coeffs
-    return Poly._make([Fraction(c.numerator, scale**k) for k, c in enumerate(d)])
+    return _unscaled(denominator_from_power_sums(pp), scale)
+
+
+def symmetric_square_via_symfun(den: Poly, kind: str) -> Poly:
+    """prod over i <= j of (1 - (alpha_i + alpha_j) x) or (1 - alpha_i alpha_j x).
+
+    The symfun route's denominator for two operands over one square-free
+    den of degree m.  The power sums of the N = m(m+1)/2 unordered pairs are
+
+        (P_k + 2^k p_k) / 2    with P = series_binomial(p, p)   (sums)
+        (p_k^2 + p_2k) / 2                                       (products)
+
+    since the ordered pairs count each pair i < j twice and the diagonal
+    once.  Newton's identities then run on D(Lx) as in
+    `denominator_via_symfun`, with scale L for sums and L^2 for products.
+
+    >>> print(symmetric_square_via_symfun(Poly([1, -1, -1]), "binomial"))
+    1 - 3*x - 2*x^2 + 4*x^3
+    """
+    if kind not in ("binomial", "hadamard"):
+        raise InvalidInput(f"unknown kind {kind!r}")
+    m = den.degree
+    pairs = m * (m + 1) // 2
+    scale = _cleared(den.coeffs)[1]
+    if kind == "binomial":
+        p = power_sums(den.scale_arg(scale), pairs)
+        ordered = series_binomial(p, p)
+        pp = [(ordered[k] + 2**k * p[k]) / 2 for k in range(pairs + 1)]
+    else:
+        p = power_sums(den.scale_arg(scale), 2 * pairs)
+        pp = [(p[k] ** 2 + p[2 * k]) / 2 for k in range(pairs + 1)]
+        scale *= scale
+    return _unscaled(denominator_from_power_sums(Series(pp)), scale)
+
+
+def _unscaled(d: Poly, scale: int) -> Poly:
+    """d(x/scale) for an integer polynomial d: each d_k divided by scale^k once."""
+    return Poly._make([Fraction(c.numerator, scale**k) for k, c in enumerate(d.coeffs)])

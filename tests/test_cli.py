@@ -251,6 +251,26 @@ class TestMainCommand:
         assert len(lines) == 2
         assert lines[1] == "methods agree: resultant, symfun, pfrac, reconstruct"
 
+    def test_shared_denominator_keeps_the_full_resultant(self, capsys):
+        # the plans use the degree-6 symmetric square for trib (.) trib, but
+        # the denominator command still prints the degree-9 resultant
+        assert main(["denominator", "trib", "trib", "--kind", "binomial"]) == 0
+        want = "1 - 6*x + 8*x^2 + 4*x^3 - 32*x^5 + 4*x^6 + 56*x^7 - 16*x^8 - 32*x^9"
+        assert capsys.readouterr().out.strip() == want
+
+    @pytest.mark.parametrize(
+        "argv, product",
+        [
+            (["bprod", "trib", "trib"], "(2*x^2 - 2*x^3 - 2*x^4 - 4*x^5) / (1 - 4*x + 2*x^3 + 12*x^4 - 8*x^5 - 16*x^6)"),
+            (["hprod", "fib", "fib"], "(x - x^2) / (1 - 2*x - 2*x^2 + x^3)"),
+        ],
+        ids=["bprod trib trib", "hprod fib fib"],
+    )
+    def test_shared_denominator_cross_check(self, capsys, argv, product):
+        assert main([*argv, "--cross-check"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == [product, "methods agree: resultant, symfun, pfrac, reconstruct"]
+
     def test_denominator_both_kinds(self, capsys):
         assert main(["denominator", "fib", "pell", "--kind", "binomial"]) == 0
         assert capsys.readouterr().out.strip() == "1 - 6*x + 7*x^2 + 6*x^3 - 9*x^4"

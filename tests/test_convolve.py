@@ -400,6 +400,98 @@ class TestMethodAgreementAndOracle:
                 assert hadamard_product(a, b, method=method) == h_ref
 
 
+def shared_pair(seed: int, m: int) -> tuple[RatFun, RatFun]:
+    """Two proper operands over one square-free denominator of degree m.
+
+    The seed's bits pick non-integer rational coefficients (1), a = b (2)
+    and, for m >= 2, a denominator E(x^2) or E(x^2)(1 + c x), whose
+    reciprocal roots come in pairs +-beta with cancelling sums (4).
+    """
+    rng = random.Random(1000 * m + seed)
+    rational, same, cancelling = seed & 1, seed & 2, seed & 4 and m >= 2
+
+    def coeff():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4) if rational else 1)
+
+    def nonzero():
+        return coeff() or Fraction(rng.choice([-3, -1, 2]))
+
+    while True:
+        if cancelling:
+            even = [coeff() if k % 2 == 0 else 0 for k in range(1, 2 * (m // 2))] + [nonzero()]
+            den = Poly([1, *even]) * (Poly([1, nonzero()]) if m % 2 else 1)
+        else:
+            den = Poly([1, *(coeff() for _ in range(m - 1)), nonzero()])
+        if polycore.poly_gcd(den, den.derivative()).degree:
+            continue
+        a, b = (RatFun(Poly([coeff() for _ in range(m - 1)] + [nonzero()]), den) for _ in range(2))
+        if a.den == b.den == den:
+            return a, (a if same else b)
+
+
+def assert_all_methods_match_brute_force(a: RatFun, b: RatFun) -> None:
+    for product, brute in ((binomial_product, brute_binomial), (hadamard_product, brute_hadamard)):
+        got = product(a, b, method=METHODS[0])
+        for method in METHODS[1:]:
+            assert product(a, b, method=method) == got, method
+        order = 2 * (got.num.degree + got.den.degree) + 4
+        assert got.expand(order).coeffs == brute(a, b, order)
+
+
+SHARED_CASES = [(seed, m) for m in range(1, 5) for seed in range(8)]
+SHARED_CASES += [(2, 5), (5, 5), (4, 6), (3, 6)]
+
+
+class TestSharedDenominators:
+    """Proper operands over one square-free denominator of degree m >= 2.
+
+    Their products have every pole at a sum or product over an unordered
+    pair of reciprocal roots, so the plans use the symmetric square, of
+    degree N = m(m+1)/2, where other pairs need m^2.
+    """
+
+    @pytest.mark.parametrize("seed, m", SHARED_CASES, ids=[f"m={m}-seed={s}" for s, m in SHARED_CASES])
+    def test_four_methods_agree_under_the_symmetric_square_bound(self, seed, m):
+        a, b = shared_pair(seed, m)
+        n = m * (m + 1) // 2
+        for plan in (plan_binomial, plan_hadamard):
+            for method in ("resultant", "symfun"):
+                bound = plan(a, b, method)
+                assert bound.den_bound.degree <= n
+                assert bound.num_deg_bound == n - 1
+            assert plan(a, b, "resultant") == plan(a, b, "symfun")
+        assert_all_methods_match_brute_force(a, b)
+
+    def test_cancelling_sums_lower_the_binomial_plan(self):
+        # D = 1 + 4x^2 has reciprocal roots +-2i, which sum to 0
+        den = Poly([1, 0, 4])
+        a, b = RatFun(Poly([1, 3]), den), RatFun(Poly([2, -1]), den)
+        assert plan_binomial(a, b) == convolve.ProductPlan(Poly([1, 0, 16]), 2)
+        # alpha^2 = -4 twice and alpha_1 alpha_2 = 4
+        assert plan_hadamard(a, b).den_bound == Poly([1, 4]) ** 2 * Poly([1, -4])
+        assert_all_methods_match_brute_force(a, b)
+
+    FULL_BOUND = {
+        # (1 - x)^2 (1 - 2x) has a repeated root
+        "repeated root": (Poly([1, -1]) ** 2 * Poly([1, -2]), 0),
+        # an improper operand over a square-free denominator
+        "improper": (Poly([1, -1, -1]), 2),
+        "m = 1": (Poly([1, -3]), 0),
+    }
+
+    @pytest.mark.parametrize("den, extra", FULL_BOUND.values(), ids=FULL_BOUND)
+    def test_other_shared_pairs_keep_the_full_bound(self, den, extra):
+        m = den.degree
+        a = RatFun(Poly([1] * (m + extra)), den)
+        b = RatFun(Poly([2, -1][:m]), den)
+        assert a.den == b.den == den and a.num.degree == m + extra - 1
+        # u = deg(a.num) + 1 - m = extra, the improper part's exponent
+        assert plan_binomial(a, b).den_bound == den**extra * binomial_denominator(den, den)
+        assert plan_binomial(a, b, "symfun").den_bound == plan_binomial(a, b).den_bound
+        assert plan_hadamard(a, b).den_bound == hadamard_denominator(den, den)
+        assert_all_methods_match_brute_force(a, b)
+
+
 class TestClosedForms:
     def test_binomial_closed_form_matches_engine(self):
         alpha, beta = Fraction(2, 3), Fraction(-3, 5)
@@ -547,6 +639,8 @@ class TestRouteIndependence:
         (RatFun(Poly.x(), Poly([1, -1, -1])), RatFun(Poly.x(), Poly([1, -2, -1]))),
         # improper operands on both sides
         (RatFun(Poly([1, 0, 0, 2]), Poly([1, -1])), RatFun(Poly([2, -1, 3]), Poly([1, -1, -1]))),
+        # tribonacci and a shifted one over one denominator: the symmetric square
+        (RatFun(Poly.x(), Poly([1, -1, -1, -1])), RatFun(Poly([1, 3, -6]), Poly([1, -1, -1, -1]))),
     ]
 
     @pytest.mark.parametrize(
@@ -557,7 +651,11 @@ class TestRouteIndependence:
                 [(polycore, "det_fraction_free"), (convolve, "resultant")],
                 ("pfrac", "reconstruct", "symfun"),
             ),
-            ("symfun", [(symfun, "denominator_via_symfun")], ("resultant", "pfrac", "reconstruct")),
+            (
+                "symfun",
+                [(symfun, "denominator_via_symfun"), (symfun, "symmetric_square_via_symfun")],
+                ("resultant", "pfrac", "reconstruct"),
+            ),
             ("pfrac", [(pfrac, "tpoly_xgcd")], ("resultant", "symfun", "reconstruct")),
             ("reconstruct", [(ratfun, "reconstruct_rational")], ("resultant", "symfun", "pfrac")),
         ],
@@ -582,6 +680,29 @@ class TestRouteIndependence:
                 assert binomial_product(a, b, method=method) == b_want
                 assert hadamard_product(a, b, method=method) == h_want
 
+    @pytest.mark.parametrize(
+        "blocked, module, name",
+        [
+            ("resultant", convolve, "symmetric_square_denominator"),
+            ("resultant", convolve, "_exact_sqrt"),
+            ("symfun", symfun, "symmetric_square_via_symfun"),
+        ],
+    )
+    def test_other_routes_survive_a_broken_symmetric_square(self, monkeypatch, blocked, module, name):
+        a, b = self.PAIRS[-1]
+        want = binomial_product(a, b), hadamard_product(a, b)
+
+        def broken(*args, **kwargs):
+            raise AssertionError(f"the {blocked} route's symmetric square was called")
+
+        monkeypatch.setattr(module, name, broken)
+        for product, product_want in zip((binomial_product, hadamard_product), want):
+            with pytest.raises(AssertionError):
+                product(a, b, method=blocked)
+            for method in METHODS:
+                if method != blocked:
+                    assert product(a, b, method=method) == product_want
+
     def test_pfrac_runs_on_its_own_sequence(self, monkeypatch):
         # the remainder sequence shares nothing with the Sylvester, Bareiss,
         # Newton or linear-algebra code of the other three routes
@@ -596,7 +717,9 @@ class TestRouteIndependence:
             (polycore, "sylvester"),
             (polycore, "_kronecker_pack"),
             (convolve, "resultant"),
+            (convolve, "_exact_sqrt"),
             (symfun, "denominator_via_symfun"),
+            (symfun, "symmetric_square_via_symfun"),
             (ratfun, "reconstruct_rational"),
         ]:
             monkeypatch.setattr(module, name, broken)

@@ -142,3 +142,25 @@ BAD_INTEGER_CALLS = {
 def test_integer_arguments_raise_invalid_input(call):
     with pytest.raises(binprod.InvalidInput, match="must be (an integer, not|nonnegative)"):
         call()
+
+
+# a zero divisor raises DivisionByZero, which is also a ZeroDivisionError
+ZERO_DIVISOR_CALLS = {
+    "Poly.exact_div(0)": lambda: binprod.Poly([1, 2]).exact_div(0),
+    "divmod(p, Poly([]))": lambda: divmod(binprod.Poly([1, 2]), binprod.Poly([])),
+    "pseudo_divmod(Poly())": lambda: binprod.Poly([1, 2]).pseudo_divmod(binprod.Poly()),
+    "Poly / 0": lambda: binprod.Poly([1, 2]) / 0,
+    "RatFun / 0": lambda: binprod.RatFun(1) / 0,
+}
+
+
+@pytest.mark.parametrize("call", ZERO_DIVISOR_CALLS.values(), ids=ZERO_DIVISOR_CALLS)
+def test_zero_divisors_raise_division_by_zero(call):
+    with pytest.raises(binprod.DivisionByZero) as exc:
+        call()
+    assert isinstance(exc.value, ZeroDivisionError)
+
+
+def test_poly_of_none_raises_invalid_input():
+    with pytest.raises(binprod.InvalidInput, match="coefficients must be iterable, not NoneType"):
+        binprod.Poly(None)
