@@ -474,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("left")
         p.add_argument("right")
-        p.add_argument("--method", choices=METHODS, default="resultant")
+        p.add_argument("--method", choices=METHODS, default="symfun")
         p.add_argument("--cross-check", action="store_true")
         p.add_argument("--json", action="store_true")
 

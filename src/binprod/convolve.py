@@ -18,14 +18,16 @@ by several independent methods:
 * "reconstruct"  expand far enough and fit a rational function with exact
                  linear algebra (`ratfun.reconstruct_rational`).
 
-Every operand may be improper.  Both products are a numerator over a
-denominator bound, and one degree-bound function per product
-(`_binomial_bounds`, `_hadamard_bounds`) serves the resultant, symfun and
-reconstruct routes alike.  For proper operands over one square-free
-denominator of degree m the bound is its symmetric square, of degree
-m(m+1)/2, and resultant and symfun each compute that square their own way.
-Only pfrac splits off polynomial parts, because its constant-term split
-needs proper operands.
+Symfun is the default.  Every operand may be improper.  Both products are
+a numerator over a denominator bound, and one degree-bound function per
+product (`_binomial_bounds`, `_hadamard_bounds`) serves the resultant,
+symfun and reconstruct routes alike.  Resultant always plans against its
+full resultant over all m*n root pairs, the paper's formula.  For proper
+operands over one square-free denominator of degree m, symfun and
+reconstruct use a tighter bound, the symmetric square, of degree m(m+1)/2
+(`_symmetric_square_bounds`), and only symfun computes that square
+(`symfun.symmetric_square_via_symfun`).  Only pfrac splits off polynomial
+parts, because its constant-term split needs proper operands.
 
 The methods share no denominator logic, so agreement between them is a real
 cross-check; `--cross-check` on the command line and several tests rely on
@@ -40,7 +42,6 @@ import shlex
 from collections.abc import Callable
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
 
 from . import symfun
 from .errors import (
@@ -59,8 +60,6 @@ from .polycore import (
     solve_exact,
     sub_one_minus_y,
     sub_x_over_y,
-    _cleared,
-    _convolve,
     _fr,
 )
 from .ratfun import RatFun, _recover_numerator, series_binomial, series_hadamard
@@ -100,54 +99,6 @@ def hadamard_denominator(uden: Poly, vden: Poly) -> Poly:
     return r
 
 
-def symmetric_square_denominator(den: Poly, kind: str) -> Poly:
-    """prod over i <= j of (1 - (alpha_i + alpha_j) x) or (1 - alpha_i alpha_j x).
-
-    den = prod(1 - alpha_i x), and kind is "binomial" for sums, "hadamard"
-    for products.  This is the resultant route's denominator for two
-    operands over one square-free den.  It keeps the Sylvester determinant F
-    over all ordered pairs.  There the diagonal i = j gives D(2x) for sums,
-    and G with G(x^2) = D(x) D(-x) for products, and each pair i < j occurs
-    twice; so F is the diagonal times a square, and the result is the
-    diagonal times the square root of F over it.
-
-    >>> print(symmetric_square_denominator(Poly([1, -1, -1]), "hadamard"))
-    1 - 2*x - 2*x^2 + x^3
-    """
-    if kind == "binomial":
-        diagonal, full = den.scale_arg(2), binomial_denominator(den, den)
-    elif kind == "hadamard":
-        even = (den * den.scale_arg(-1)).coeffs
-        diagonal, full = Poly._make(list(even[::2])), hadamard_denominator(den, den)
-    else:
-        raise InvalidInput(f"unknown kind {kind!r}")
-    try:
-        return diagonal * _exact_sqrt(full.exact_div(diagonal))
-    except DivisibilityError:
-        raise InternalInvariantViolation(f"{kind} resultant is not its diagonal times a square") from None
-
-
-def _exact_sqrt(q: Poly) -> Poly:
-    """The S with S(0) = 1 and S^2 = q, for q(0) = 1; DivisibilityError if none.
-
-    With t the lcm of the denominators of q's coefficients, q(tx) is in Z[x],
-    and by Gauss's lemma so is a square root of it with constant term 1.
-    That root's coefficients follow on integers from
-    2 s_n = q_n - sum_{0<k<n} s_k s_(n-k), and S is the root at x/t.
-    """
-    t = _cleared(q.coeffs)[1]
-    ints = _cleared(q.scale_arg(t).coeffs)[0]
-    root = [1]
-    for n in range(1, (len(ints) + 1) // 2):
-        s, odd = divmod(ints[n] - sum(map(mul, root[1:n], root[n - 1 : 0 : -1])), 2)
-        if odd:
-            break
-        root.append(s)
-    if _convolve(root, root) != ints:
-        raise DivisibilityError(f"{q} is not a square")
-    return Poly._make([Fraction(s, t**k) for k, s in enumerate(root)])
-
-
 def _resultant_denominator(substitute: Callable[[Poly], BiPoly], uden: Poly, vden: Poly) -> Poly:
     """(-1)^(m n) Res_y( substitute(uden), y^n vden(x/y) ), or 1 when m n = 0.
 
@@ -182,20 +133,26 @@ class ProductPlan(Record):
     __slots__ = _fields = ("den_bound", "num_deg_bound")
 
 
-def _plan_denominator(method: str, kind: str, uden: Poly, vden: Poly, square: bool) -> Poly:
-    """One direct route's cross denominator, or its symmetric square of uden = vden."""
-    if method == "resultant":
-        if square:
-            return symmetric_square_denominator(uden, kind)
-        return (binomial_denominator if kind == "binomial" else hadamard_denominator)(uden, vden)
+def _plan(kind: str, a: RatFun, b: RatFun, method: str) -> ProductPlan:
+    """The plan of `plan_binomial` or `plan_hadamard` by one direct route."""
+    if a.is_zero() or b.is_zero():
+        raise InvalidInput("plans are for nonzero operands")
     if method == "symfun":
+        square = _symmetric_square_bounds(a, b)
         if square:
-            return symfun.symmetric_square_via_symfun(uden, kind)
-        return symfun.denominator_via_symfun(uden, vden, kind)
-    raise InvalidInput(f"no direct denominator computation for method {method!r}")
+            return ProductPlan(symfun.symmetric_square_via_symfun(a.den, kind), square[1])
+        cross = symfun.denominator_via_symfun(a.den, b.den, kind)
+    elif method == "resultant":
+        cross = (binomial_denominator if kind == "binomial" else hadamard_denominator)(a.den, b.den)
+    else:
+        raise InvalidInput(f"no direct denominator computation for method {method!r}")
+    if kind == "hadamard":
+        return ProductPlan(cross, _hadamard_bounds(a, b)[1])
+    u, v, _, num_deg = _binomial_bounds(a, b)
+    return ProductPlan(a.den**v * b.den**u * cross, num_deg)
 
 
-def plan_binomial(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPlan:
+def plan_binomial(a: RatFun, b: RatFun, method: str = "symfun") -> ProductPlan:
     """Denominator and numerator-degree bounds for a binomial product.
 
     With m = deg(a.den), n = deg(b.den), u = max(deg(a.num)+1-m, 0) and
@@ -204,71 +161,48 @@ def plan_binomial(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPla
         a.den^v * b.den^u * prod(1 - (alpha_i + beta_j) x)
 
     with deg(T) < (u+m)(v+n).  The u, v exponents absorb improper inputs, so
-    no polynomial split is needed on this path.
+    no polynomial split is needed on this path.  This is the resultant
+    route's plan for every pair of operands.
 
     Proper operands over one square-free denominator D = prod(1 - alpha_i x)
     of degree m >= 2 are sums of c_i/(1 - alpha_i x), and the binomial
     product of two geometric series is the geometric series of the sum of
     their ratios.  So every pole is a 1/(alpha_i + alpha_j) with i <= j, and
-    the bound is the symmetric square, prod over i <= j of
-    (1 - (alpha_i + alpha_j) x), of degree N = m(m+1)/2, not m^2
-    (`_binomial_bounds`).
+    the symfun route plans against the symmetric square, prod over i <= j
+    of (1 - (alpha_i + alpha_j) x), of degree N = m(m+1)/2, not m^2
+    (`_symmetric_square_bounds`).
 
     >>> fib = RatFun(Poly.x(), Poly([1, -1, -1]))
     >>> print(plan_binomial(fib, fib).den_bound)
     1 - 3*x - 2*x^2 + 4*x^3
+    >>> print(plan_binomial(fib, fib, "resultant").den_bound)
+    1 - 4*x + x^2 + 6*x^3 - 4*x^4
     """
-    if a.is_zero() or b.is_zero():
-        raise InvalidInput("plans are for nonzero operands")
-    u, v, den_deg, num_deg = _binomial_bounds(a, b)
-    # only the symmetric square falls below m*n, the bound of proper operands
-    square = den_deg < a.den.degree * b.den.degree
-    cross = _plan_denominator(method, "binomial", a.den, b.den, square)
-    return ProductPlan(a.den**v * b.den**u * cross, num_deg)
-
-
-def _symmetric_square_degree(a: RatFun, b: RatFun) -> int:
-    """N = m(m+1)/2 for proper a, b over one square-free den of degree m >= 2; else 0."""
-    den = a.den
-    m = den.degree
-    if m < 2 or b.den != den or not (a.is_proper() and b.is_proper()):
-        return 0
-    if poly_gcd(den, den.derivative()).degree:
-        return 0
-    return m * (m + 1) // 2
+    return _plan("binomial", a, b, method)
 
 
 def _binomial_bounds(a: RatFun, b: RatFun) -> tuple[int, int, int, int]:
-    """u, v and the denominator and numerator degree bounds of `plan_binomial`.
-
-    For proper a, b over one square-free den of degree m >= 2 they are 0, 0,
-    N = m(m+1)/2 and N - 1: the product is a sum of N terms
-    c/(1 - (alpha_i + alpha_j) x).  N - 1 holds when some alpha_i + alpha_j
-    is 0 too.  That term is a constant c, which adds c times the
-    denominator to the numerator, and the denominator has lost the factor
-    1 - 0 x, so its degree is at most N - 1.
-    """
-    square = _symmetric_square_degree(a, b)
-    if square:
-        return 0, 0, square, square - 1
+    """u, v and the denominator and numerator degree bounds of `plan_binomial`."""
     m, n = a.den.degree, b.den.degree
     u = max(a.num.degree + 1 - m, 0)
     v = max(b.num.degree + 1 - n, 0)
     return u, v, m * v + n * u + m * n, (u + m) * (v + n) - 1
 
 
-def plan_hadamard(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPlan:
+def plan_hadamard(a: RatFun, b: RatFun, method: str = "symfun") -> ProductPlan:
     """Denominator and numerator-degree bounds for a Hadamard product.
 
     The denominator is prod(1 - alpha_i beta_j x), of degree m*n, and
     `_hadamard_bounds` gives the numerator bound, so improper operands need
-    no polynomial split here either.
+    no polynomial split here either.  This is the resultant route's plan for
+    every pair of operands.
 
     For proper operands over one square-free denominator of degree m >= 2
     the poles are the 1/(alpha_i alpha_j) with i <= j, as in
     `plan_binomial`, since the Hadamard product of two geometric series is
-    the geometric series of the product of their ratios.  So the bound is
-    the symmetric square, of degree N = m(m+1)/2 (`_hadamard_bounds`).
+    the geometric series of the product of their ratios.  So the symfun
+    route plans against the symmetric square, of degree N = m(m+1)/2
+    (`_symmetric_square_bounds`).
 
     >>> a = RatFun(Poly([1, 0, 0, 2]), Poly([1, -1]))  # improper: degree 3 over 1
     >>> b = RatFun(Poly.x(), Poly([1, -1, -1]))
@@ -276,11 +210,7 @@ def plan_hadamard(a: RatFun, b: RatFun, method: str = "resultant") -> ProductPla
     >>> print(plan.den_bound, plan.num_deg_bound)
     1 - x - x^2 4
     """
-    if a.is_zero() or b.is_zero():
-        raise InvalidInput("plans are for nonzero operands")
-    den_deg, num_deg = _hadamard_bounds(a, b)
-    square = den_deg < a.den.degree * b.den.degree
-    return ProductPlan(_plan_denominator(method, "hadamard", a.den, b.den, square), num_deg)
+    return _plan("hadamard", a, b, method)
 
 
 def _hadamard_bounds(a: RatFun, b: RatFun) -> tuple[int, int]:
@@ -290,20 +220,34 @@ def _hadamard_bounds(a: RatFun, b: RatFun) -> tuple[int, int]:
     polynomial part, a_n b_n is the coefficient of the product of the proper
     parts for every n > P.  That product has a numerator of degree below m*n,
     and the first P+1 coefficients add a polynomial of degree at most P.
-
-    For proper a, b over one square-free den of degree m >= 2 the bounds are
-    N = m(m+1)/2 and N - 1: the product is a sum of N terms
-    c/(1 - alpha_i alpha_j x), none of them constant, since no alpha_i is 0.
     """
-    square = _symmetric_square_degree(a, b)
-    if square:
-        return square, square - 1
     m, n = a.den.degree, b.den.degree
     p = max(a.num.degree - m, b.num.degree - n, -1)
     return m * n, max(p + m * n, m * n - 1)
 
 
-def _recover_from_plan(a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> RatFun:
+def _symmetric_square_bounds(a: RatFun, b: RatFun) -> tuple[int, int] | None:
+    """N = m(m+1)/2 and N - 1 for proper a, b over one square-free den of degree m >= 2.
+
+    These are the denominator and numerator degree bounds of both products
+    for symfun and reconstruct; None for any other pair of operands.  The
+    product is a sum of N terms c/(1 - (alpha_i + alpha_j) x) or
+    c/(1 - alpha_i alpha_j x) over i <= j.  N - 1 holds when some
+    alpha_i + alpha_j is 0 too.  That term is a constant c, which adds c
+    times the denominator to the numerator, and the denominator has lost the
+    factor 1 - 0 x, so its degree is at most N - 1.  No alpha_i alpha_j is 0.
+    """
+    den = a.den
+    m = den.degree
+    if m < 2 or b.den != den or not (a.is_proper() and b.is_proper()):
+        return None
+    if poly_gcd(den, den.derivative()).degree:
+        return None
+    pairs = m * (m + 1) // 2
+    return pairs, pairs - 1
+
+
+def _recover_from_plan(combine, a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> RatFun:
     """Numerator by truncated multiplication against the denominator bound.
 
     Expands past the numerator bound by deg(den)+2 extra coefficients; every
@@ -312,7 +256,6 @@ def _recover_from_plan(a: RatFun, b: RatFun, plan: ProductPlan, kind: str) -> Ra
     an internal bug.
     """
     order = plan.den_bound.degree + plan.num_deg_bound + 3
-    combine = series_binomial if kind == "binomial" else series_hadamard
     s = combine(a.expand(order), b.expand(order)).coeffs
     what = f"{kind} numerator tail does not vanish; denominator bound is wrong"
     return _recover_numerator(plan.den_bound, s, plan.num_deg_bound, what)
@@ -331,20 +274,20 @@ def _reconstruct(combine, a: RatFun, b: RatFun, den_deg: int, num_deg: int) -> R
 # public products
 
 
-def binomial_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
+def binomial_product(a: RatFun, b: RatFun, method: str = "symfun") -> RatFun:
     """The generating function of c_n = sum_k C(n,k) a_k b_{n-k}.
 
-    Improper operands are fine.  Resultant, symfun and reconstruct work from
-    the degree bounds of `plan_binomial`, which absorb them; only pfrac,
-    whose constant-term split needs proper operands, splits off the
-    polynomial parts first.  A `Poly`, `int` or `Fraction` operand is
-    lifted as in `RatFun` arithmetic, and a failure of binprod itself
-    carries a reproducer (`_product`).
+    ``method`` is one of `METHODS`, symfun by default.  Improper operands
+    are fine.  Resultant, symfun and reconstruct work from the degree bounds
+    of `plan_binomial`, which absorb them; only pfrac, whose constant-term
+    split needs proper operands, splits off the polynomial parts first.  A
+    `Poly`, `int` or `Fraction` operand is lifted as in `RatFun` arithmetic,
+    and a failure of binprod itself carries a reproducer (`_product`).
     """
     return _product("binomial", a, b, method)
 
 
-def hadamard_product(a: RatFun, b: RatFun, method: str = "resultant") -> RatFun:
+def hadamard_product(a: RatFun, b: RatFun, method: str = "symfun") -> RatFun:
     """The generating function of c_n = a_n b_n.
 
     Improper operands are fine, under the same policy as `binomial_product`:
@@ -378,12 +321,12 @@ def _product(kind: str, a, b, method: str) -> RatFun:
             if binomial:
                 return pfrac.binomial_via_constant_term(a, b)
             return pfrac.hadamard_via_constant_term(a, b)
+        combine = series_binomial if binomial else series_hadamard
         if method == "reconstruct":
-            if binomial:
-                return _reconstruct(series_binomial, a, b, *_binomial_bounds(a, b)[2:])
-            return _reconstruct(series_hadamard, a, b, *_hadamard_bounds(a, b))
+            full = _binomial_bounds(a, b)[2:] if binomial else _hadamard_bounds(a, b)
+            return _reconstruct(combine, a, b, *(_symmetric_square_bounds(a, b) or full))
         plan = plan_binomial if binomial else plan_hadamard
-        return _recover_from_plan(a, b, plan(a, b, method), kind)
+        return _recover_from_plan(combine, a, b, plan(a, b, method), kind)
     except Exception as exc:
         bad_input = isinstance(exc, BinprodError) and not isinstance(exc, InternalInvariantViolation)
         if not bad_input and not hasattr(exc, "reproducer"):

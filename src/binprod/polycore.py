@@ -76,6 +76,21 @@ def _check_int(value, what: str, nonnegative: bool = True) -> int:
     return value
 
 
+def _check_type(value, cls: type, what: str):
+    """``value`` when it is a ``cls``; anything else raises InvalidInput."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{what} must be a {cls.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _iter(values, what: str):
+    """iter(values); InvalidInput naming ``what`` when values is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise InvalidInput(f"{what} must be iterable, not {type(values).__name__}") from None
+
+
 def _convolve(a: Sequence, b: Sequence) -> list:
     """Schoolbook product of two nonempty coefficient sequences over any ring.
 
@@ -131,11 +146,7 @@ class _DensePoly:
 
     def __init__(self, coeffs: Iterable = ()):
         coerce = self._coeff
-        try:
-            it = iter(coeffs)
-        except TypeError:
-            raise InvalidInput(f"coefficients must be iterable, not {type(coeffs).__name__}") from None
-        vals = [coerce(c) for c in it]
+        vals = [coerce(c) for c in _iter(coeffs, "coefficients")]
         while vals and not vals[-1]:
             vals.pop()
         self.coeffs = tuple(vals)
@@ -278,7 +289,7 @@ class _DensePoly:
         brought up to its power of lc(other) only when the elimination
         reaches it.
         """
-        b = other.coeffs
+        b = _check_type(other, type(self), "divisor").coeffs
         if not b:
             raise DivisionByZero("polynomial division by zero")
         n, top = len(b) - 1, len(self.coeffs) - len(b)
@@ -568,6 +579,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     >>> poly_gcd(Poly([2, 3]), Poly([Fraction(1, 2), 1]))
     Poly('1')
     """
+    _check_type(a, Poly, "gcd argument")
+    _check_type(b, Poly, "gcd argument")
     if a.is_zero() and b.is_zero():
         raise InvalidInput("gcd(0, 0) is undefined")
     if a.is_zero() or b.is_zero():

@@ -32,7 +32,7 @@ from .errors import (
     NotAPowerSeries,
     ReconstructionFailed,
 )
-from .polycore import Poly, Scalar, _check_int, _cleared, _fr, format_poly, poly_gcd, solve_exact
+from .polycore import Poly, Scalar, _check_int, _check_type, _cleared, _fr, _iter, format_poly, poly_gcd, solve_exact
 
 
 class Series:
@@ -46,7 +46,7 @@ class Series:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        self.coeffs = tuple(_fr(c) for c in coeffs)
+        self.coeffs = tuple(_fr(c) for c in _iter(coeffs, "coefficients"))
 
     @property
     def order(self) -> int:
@@ -353,7 +353,7 @@ class RatFun:
 
     def compose_poly(self, inner: Poly) -> "RatFun":
         """self(inner(x)) for a polynomial inner with inner(0) = 0."""
-        if inner.constant_term:
+        if _check_type(inner, Poly, "substituted polynomial").constant_term:
             raise InvalidInput("substituted polynomial must vanish at 0")
         return RatFun._quotient(self.num.compose(inner), self.den.compose(inner))
 

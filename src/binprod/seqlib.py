@@ -25,7 +25,9 @@ from .polycore import (
     sub_one_minus_y,
     sub_x_over_y,
     sylvester,
+    _check_type,
     _fr,
+    _iter,
 )
 from .ratfun import RatFun
 from .record import Record
@@ -112,7 +114,7 @@ def named_gf(name: str, params: Iterable = ()) -> NamedGF:
     if name not in _REGISTRY:
         raise InvalidInput(f"unknown sequence {name!r}; known: {', '.join(sequence_names())}")
     arities, builder, _ = _REGISTRY[name]
-    values = tuple(_fr(p) for p in params)
+    values = tuple(_fr(p) for p in _iter(params, "parameters"))
     if len(values) not in arities:
         counts = " or ".join(str(a) for a in arities)
         raise InvalidInput(f"{name} takes {counts} parameters, got {len(values)}")
@@ -458,7 +460,8 @@ def run_identity_suite(
     if only is not None:
         if isinstance(only, str):
             only = only.split(",")
-        selected = {token.strip() for token in only if token.strip()}
+        tokens = _iter(only, "the identity filter")
+        selected = {_check_type(token, str, "an identity id").strip() for token in tokens} - {""}
         if not selected:
             raise InvalidInput("the identity filter selects no identity")
         known = {ident for ident, _, _, _ in _SUITE} | {slug for _, slug, _, _ in _SUITE}

@@ -17,8 +17,9 @@ to the two power-sum series.  Newton's identity
 then gives the coefficients d_k of the product denominator without ever
 computing a root (`denominator_from_power_sums`).  This is a second, fully
 independent route to the product denominators computed by resultants in
-`convolve`.  For two operands over one square-free denominator,
-`symmetric_square_via_symfun` gives the product over unordered pairs only.
+`convolve`, and the default one.  For two proper operands over one
+square-free denominator, `symmetric_square_via_symfun` gives the product
+over unordered pairs only; the resultant route has no such shortcut.
 
 The identities run on integers.  With L the lcm of the denominators of D's
 coefficients, D(Lx) = prod(1 - L alpha_i x) has integer coefficients and

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -481,10 +482,10 @@ class TestParserReuse:
             return hadamard_product(a, b, method=method)
 
         monkeypatch.setattr(cli, "hadamard_product", spy)
-        first = run_in_process(capsys, ["hprod", "fib", "pell", "--method", "symfun"])
+        first = run_in_process(capsys, ["hprod", "fib", "pell", "--method", "resultant"])
         second = run_in_process(capsys, ["hprod", "fib", "pell"])
-        assert methods == ["symfun", "resultant"]
-        assert first == run_fresh(["hprod", "fib", "pell", "--method", "symfun"])
+        assert methods == ["resultant", "symfun"]
+        assert first == run_fresh(["hprod", "fib", "pell", "--method", "resultant"])
         assert second == run_fresh(["hprod", "fib", "pell"])
 
     def test_bad_argv_then_good(self, capsys):
@@ -524,6 +525,47 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(x) / (1 - x - x^2)"
+
+
+def random_operand(seed):
+    # a proper or improper operand with non-integer coefficients, as text
+    rng = random.Random(seed)
+
+    def coeffs(n):
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+
+    return str(RatFun(Poly(coeffs(rng.randint(1, 4))), Poly([1, *coeffs(rng.randint(1, 3))])))
+
+
+# operand pairs for the default-method check: shared denominators (fib and
+# lucas, trib and trib(1, 0, 2), cancelling root sums of 1 + 4x^2, a random
+# operand over a rational cubic with itself), an improper operand,
+# constants, malformed texts and random rational operands
+METHOD_PAIRS = [
+    ("fib", "lucas"),
+    ("trib", "trib(1, 0, 2)"),
+    ("x/(1+4x^2)", "x/(1+4x^2)"),
+    ("fib", "pell"),
+    ("perrin", "g(1/2, -3)"),
+    ("(1 + x^3)/(1 - x)", "lucas"),
+    ("0", "fib"),
+    ("1", "1"),
+    ("x +", "fib"),
+    ("pell", "1/x"),
+    *((random_operand(seed), random_operand(seed + 100)) for seed in range(3)),
+    (random_operand(13), random_operand(13)),
+]
+
+
+@pytest.mark.parametrize("command", ["bprod", "hprod"])
+@pytest.mark.parametrize("a, b", METHOD_PAIRS, ids=[f"{a} , {b}" for a, b in METHOD_PAIRS])
+def test_default_method_prints_what_every_direct_route_prints(capsys, command, a, b):
+    # the default moved from resultant to symfun; no printed byte may move
+    for json_flag in ([], ["--json"]):
+        argv = [command, a, b, *json_flag]
+        default = run_in_process(capsys, argv)
+        for method in ("resultant", "symfun"):
+            assert run_in_process(capsys, [*argv, "--method", method]) == default, method
 
 
 # one kernel of each route, by method; breaking it breaks that route only
@@ -566,7 +608,7 @@ class TestReproducer:
         err = capsys.readouterr().err.splitlines()
         # products bind loosest, so the inner product is (2 + pell) hprod g(1/2, 3)
         left, right = evaluate_text("2 + pell"), evaluate_text("g(1/2, 3)")
-        inner = shlex.join(["binprod", "hprod", str(left), str(right), "--method", "resultant"])
+        inner = shlex.join(["binprod", "hprod", str(left), str(right), "--method", "symfun"])
         assert err == ["internal error: InternalInvariantViolation: forced failure", f"reproduce with: {inner}"]
         assert main(shlex.split(inner)[1:]) == 4
         assert capsys.readouterr().err.splitlines() == err

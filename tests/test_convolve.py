@@ -446,20 +446,21 @@ class TestSharedDenominators:
     """Proper operands over one square-free denominator of degree m >= 2.
 
     Their products have every pole at a sum or product over an unordered
-    pair of reciprocal roots, so the plans use the symmetric square, of
-    degree N = m(m+1)/2, where other pairs need m^2.
+    pair of reciprocal roots, so symfun and reconstruct use the symmetric
+    square, of degree N = m(m+1)/2, where other pairs need m^2.  Resultant
+    keeps its full m^2-degree resultant.
     """
 
     @pytest.mark.parametrize("seed, m", SHARED_CASES, ids=[f"m={m}-seed={s}" for s, m in SHARED_CASES])
     def test_four_methods_agree_under_the_symmetric_square_bound(self, seed, m):
         a, b = shared_pair(seed, m)
         n = m * (m + 1) // 2
-        for plan in (plan_binomial, plan_hadamard):
-            for method in ("resultant", "symfun"):
-                bound = plan(a, b, method)
-                assert bound.den_bound.degree <= n
-                assert bound.num_deg_bound == n - 1
-            assert plan(a, b, "resultant") == plan(a, b, "symfun")
+        for plan, full in ((plan_binomial, binomial_denominator), (plan_hadamard, hadamard_denominator)):
+            square = plan(a, b, "symfun")
+            assert square.den_bound.degree <= n
+            assert square.num_deg_bound == n - 1
+            # resultant plans against its full m^2-degree resultant
+            assert plan(a, b, "resultant") == convolve.ProductPlan(full(a.den, a.den), m * m - 1)
         assert_all_methods_match_brute_force(a, b)
 
     def test_cancelling_sums_lower_the_binomial_plan(self):
@@ -683,8 +684,6 @@ class TestRouteIndependence:
     @pytest.mark.parametrize(
         "blocked, module, name",
         [
-            ("resultant", convolve, "symmetric_square_denominator"),
-            ("resultant", convolve, "_exact_sqrt"),
             ("symfun", symfun, "symmetric_square_via_symfun"),
         ],
     )
@@ -717,7 +716,6 @@ class TestRouteIndependence:
             (polycore, "sylvester"),
             (polycore, "_kronecker_pack"),
             (convolve, "resultant"),
-            (convolve, "_exact_sqrt"),
             (symfun, "denominator_via_symfun"),
             (symfun, "symmetric_square_via_symfun"),
             (ratfun, "reconstruct_rational"),

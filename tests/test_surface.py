@@ -1,8 +1,10 @@
 """The public surface: README's Library section, `binprod.__all__` and the module paths."""
 
 import importlib
+import inspect
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import binprod
+from binprod.cli import main
+from binprod.polycore import poly_gcd
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -109,6 +113,37 @@ def test_readme_library_example_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert "12/12 identity groups verified exactly" in proc.stdout
+    # the example's comment names the default method
+    default = inspect.signature(binprod.binomial_product).parameters["method"].default
+    assert f"# default: {default} route" in readme_library_block()
+
+
+def readme_cli_examples():
+    """(argv, shown output) for each README command line whose output README shows.
+
+    The output is the "→" lines below the command, or for eval, coeffs and
+    denominator the "# ..." comment, which writes the result on one line.
+    """
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"\n## Command line\n.*?```text\n(.*?)```", readme, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("binprod "):
+            command, _, comment = line.partition("#")
+            argv = shlex.split(command)[1:]
+            examples.append((argv, [comment] if argv[0] in ("eval", "coeffs", "denominator") else []))
+        elif line.lstrip().startswith("→") or (line.startswith(" ") and examples[-1][1]):
+            examples[-1][1].append(line.strip().removeprefix("→"))
+    return [(argv, " ".join(shown)) for argv, shown in examples if shown]
+
+
+README_CLI = readme_cli_examples()
+
+
+@pytest.mark.parametrize("argv, shown", README_CLI, ids=[shlex.join(argv) for argv, _ in README_CLI])
+def test_readme_command_line_example_prints_what_readme_shows(capsys, argv, shown):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.split() == shown.split()
 
 
 @pytest.mark.parametrize("module, name", INTERNAL_PATHS, ids=[f"{m}.{n}" for m, n in INTERNAL_PATHS])
@@ -164,3 +199,22 @@ def test_zero_divisors_raise_division_by_zero(call):
 def test_poly_of_none_raises_invalid_input():
     with pytest.raises(binprod.InvalidInput, match="coefficients must be iterable, not NoneType"):
         binprod.Poly(None)
+
+
+# arguments of the wrong type raise InvalidInput, not the TypeError or
+# AttributeError of whatever the code did first with them
+JUNK_CALLS = {
+    "Series(None)": lambda: binprod.Series(None),
+    "named_gf('fib', None)": lambda: binprod.named_gf("fib", None),
+    "run_identity_suite(only=3)": lambda: binprod.run_identity_suite(only=3),
+    "run_identity_suite(only=[3])": lambda: binprod.run_identity_suite(only=[3]),
+    "RatFun.compose_poly(3)": lambda: binprod.named_gf("fib").gf.compose_poly(3),
+    "pseudo_divmod(3)": lambda: binprod.Poly([1, 1]).pseudo_divmod(3),
+    "poly_gcd(p, 3)": lambda: poly_gcd(binprod.Poly([1, 1]), 3),
+}
+
+
+@pytest.mark.parametrize("call", JUNK_CALLS.values(), ids=JUNK_CALLS)
+def test_junk_arguments_raise_invalid_input(call):
+    with pytest.raises(binprod.InvalidInput, match="must be (iterable|a Poly|a str), not (NoneType|int)"):
+        call()
