@@ -33,7 +33,8 @@ The methods share no denominator logic, so agreement between them is a real
 cross-check; `--cross-check` on the command line and several tests rely on
 that.  All arithmetic is exact.  The series kernels `series_binomial` and
 `series_hadamard` live in `ratfun`, beside `Series`; symfun combines power
-sums with them too, since they are not denominator code.
+sums with the integer kernel of `series_binomial` too, since it is not
+denominator code.  A self-product expands its operand once.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .polycore import (
     sub_x_over_y,
     _fr,
 )
-from .ratfun import RatFun, _recover_numerator, series_binomial, series_hadamard
+from .ratfun import RatFun, Series, _recover_numerator, series_binomial, series_hadamard
 from .record import Record
 
 METHODS = ("resultant", "symfun", "pfrac", "reconstruct")
@@ -256,7 +257,7 @@ def _recover_from_plan(combine, a: RatFun, b: RatFun, plan: ProductPlan, kind: s
     an internal bug.
     """
     order = plan.den_bound.degree + plan.num_deg_bound + 3
-    s = combine(a.expand(order), b.expand(order)).coeffs
+    s = combine(*_expansions(a, b, order)).coeffs
     what = f"{kind} numerator tail does not vanish; denominator bound is wrong"
     return _recover_numerator(plan.den_bound, s, plan.num_deg_bound, what)
 
@@ -267,7 +268,16 @@ def _reconstruct(combine, a: RatFun, b: RatFun, den_deg: int, num_deg: int) -> R
     from .ratfun import reconstruct_rational
 
     order = den_deg + num_deg + 3
-    return reconstruct_rational(combine(a.expand(order), b.expand(order)), den_deg, num_deg)
+    return reconstruct_rational(combine(*_expansions(a, b, order)), den_deg, num_deg)
+
+
+def _expansions(a: RatFun, b: RatFun, order: int) -> tuple[Series, Series]:
+    """a.expand(order) and b.expand(order), expanding once for a self-product.
+
+    `RatFun` equality is canonical, so b == a is exact.
+    """
+    sa = a.expand(order)
+    return sa, sa if b == a else b.expand(order)
 
 
 # ---------------------------------------------------------------------------

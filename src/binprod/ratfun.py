@@ -6,8 +6,9 @@ condition both pins the scalar normalization and guarantees the function is a
 power series at the origin.  `Series` is a finite prefix of an expansion;
 `RatFun.expand` runs the denominator's recurrence on num and den cleared
 to Z[x], in Python integers, and makes one `Fraction` per coefficient at
-the end.  The two series kernels, `series_binomial` (in Z) and
-`series_hadamard`, combine two prefixes coefficientwise.
+the end.  The two series kernels, `series_binomial` (in Z, by
+`_binomial_ints`, which symfun also calls) and `series_hadamard`, combine
+two prefixes coefficientwise.
 
 A sum, product or quotient takes one gcd to reach canonical form; negation,
 powers and `RatFun.compose_scale` take none, because they keep a canonical
@@ -81,22 +82,37 @@ def series_binomial(a: Series, b: Series) -> Series:
     """Termwise binomial convolution c_n = sum_k C(n,k) a_k b_{n-k}.
 
     Runs on integers: with A = la*a and B = lb*b the `_cleared` prefixes,
-    la*lb*c_n is one dot product of the n-th Pascal row with the products
-    A_k B_{n-k}, and each c_n becomes one `Fraction` at the end.
+    la*lb*c_n is `_binomial_ints` of A and B, and each c_n becomes one
+    `Fraction` at the end.
 
     >>> series_binomial(Series([1, 1, 1]), Series([1, Fraction(1, 2), Fraction(1, 4)])).coeffs
     (Fraction(1, 1), Fraction(3, 2), Fraction(9, 4))
     """
     order = min(a.order, b.order)
     (ints_a, la), (ints_b, lb) = _cleared(a.coeffs[:order]), _cleared(b.coeffs[:order])
-    # reversed, so the last n+1 entries are B_n, ..., B_0
-    rev_b = ints_b[::-1]
+    scale = la * lb
+    return Series([Fraction(c, scale) for c in _binomial_ints(ints_a, ints_b)])
+
+
+def _binomial_ints(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """c_n = sum_k C(n,k) a_k b_{n-k} on integers, for n below the shorter length.
+
+    Each c_n is one dot product of the n-th Pascal row with the products
+    a_k b_{n-k}.  The kernel of `series_binomial`, and symfun's binomial
+    combination of power sums.
+
+    >>> _binomial_ints([2, 1, 3, 4, 7], [2, 2, 6, 14, 34])
+    [4, 6, 22, 72, 278]
+    """
+    order = min(len(a), len(b))
+    # reversed, so the last n+1 entries are b_n, ..., b_0
+    rev_b = b[:order][::-1]
     out, row = [], [1]
     for n in range(order):
-        terms = map(mul, ints_a[: n + 1], rev_b[order - 1 - n :])
-        out.append(Fraction(sum(map(mul, row, terms)), la * lb))
+        terms = map(mul, a[: n + 1], rev_b[order - 1 - n :])
+        out.append(sum(map(mul, row, terms)))
         row = [1, *map(add, row, row[1:]), 1]
-    return Series(out)
+    return out
 
 
 def series_hadamard(a: Series, b: Series) -> Series:

@@ -493,6 +493,41 @@ class TestSharedDenominators:
         assert_all_methods_match_brute_force(a, b)
 
 
+class TestExpansions:
+    """A self-product expands its operand once; symfun's denominators expand nothing."""
+
+    TRIB = RatFun(Poly.x(), Poly([1, -1, -1, -1]))
+
+    @pytest.fixture
+    def expanded(self, monkeypatch):
+        calls = []
+        expand = RatFun.expand
+
+        def spy(self, order):
+            calls.append(self)
+            return expand(self, order)
+
+        monkeypatch.setattr(RatFun, "expand", spy)
+        return calls
+
+    @pytest.mark.parametrize("method", ["symfun", "resultant", "reconstruct"])
+    @pytest.mark.parametrize("product", [binomial_product, hadamard_product])
+    def test_self_product_expands_once(self, expanded, product, method):
+        t = self.TRIB
+        want = product(t, t, method="pfrac")
+        expanded.clear()
+        # an equal operand built separately is a self-product too
+        assert product(t, RatFun(Poly.x(), Poly([1, -1, -1, -1])), method=method) == want
+        assert expanded == [t]
+
+    @pytest.mark.parametrize("method", ["symfun", "resultant", "reconstruct"])
+    @pytest.mark.parametrize("product", [binomial_product, hadamard_product])
+    def test_distinct_operands_expand_twice(self, expanded, product, method):
+        t, u = self.TRIB, RatFun(Poly([1, 3, -6]), Poly([1, -1, -1, -1]))
+        product(t, u, method=method)
+        assert expanded == [t, u]
+
+
 class TestClosedForms:
     def test_binomial_closed_form_matches_engine(self):
         alpha, beta = Fraction(2, 3), Fraction(-3, 5)

@@ -4,7 +4,8 @@ Operands have denominator degree 0-3 and cover improper numerators, pure
 polynomials, repeated roots and non-integer rational coefficients; pairs
 with colliding root products or sums and constant operands are checked
 too.  The symfun denominators are also checked against the resultant ones
-on their own, including pairs whose root sums cancel.  The shared-cubic
+on their own, including pairs whose root sums cancel, and symfun's
+symmetric square against the full resultant.  The shared-cubic
 split exists exactly when a sympy resultant says it should, and then sums
 back to the symfun product.  Printed functions read back through the
 expression language.  The command line is fed generated expressions and
@@ -33,7 +34,7 @@ from binprod import (  # noqa: E402
 )
 from binprod.cli import evaluate_text, main  # noqa: E402
 from binprod.convolve import binomial_denominator, hadamard_denominator, komatsu_decompose  # noqa: E402
-from binprod.symfun import denominator_via_symfun  # noqa: E402
+from binprod.symfun import denominator_via_symfun, symmetric_square_via_symfun  # noqa: E402
 
 scalars = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 nonzero = scalars.filter(bool)
@@ -174,6 +175,17 @@ def test_symfun_denominators_match_resultants_when_root_sums_cancel(pair):
     u, v = pair
     assert binomial_denominator(u, v).degree < u.degree * v.degree
     assert_symfun_matches_resultants(u, v)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(denominators())
+def test_symmetric_square_squared_is_the_full_resultant_times_the_diagonal(den):
+    # the ordered pairs hold each pair i < j twice and the diagonal once, so
+    # S^2 = (full resultant) * (diagonal), with diagonal factors 1 - 2 alpha_i x
+    # (D(2x)) for sums and 1 - alpha_i^2 x (G with G(x^2) = D(x) D(-x)) for products
+    diagonal = Poly((den * den.scale_arg(-1)).coeffs[::2])
+    assert symmetric_square_via_symfun(den, "binomial") ** 2 == binomial_denominator(den, den) * den.scale_arg(2)
+    assert symmetric_square_via_symfun(den, "hadamard") ** 2 == hadamard_denominator(den, den) * diagonal
 
 
 @st.composite

@@ -1,14 +1,21 @@
 """Newton's identities route: power sums of reciprocal roots."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from binprod import InvalidInput, Poly
+from binprod import InvalidInput, Poly, RatFun
 from binprod.convolve import binomial_denominator, hadamard_denominator
+from binprod.polycore import poly_gcd
 from binprod.ratfun import Series, series_binomial, series_hadamard
-from binprod.symfun import denominator_from_power_sums, denominator_via_symfun, power_sums
+from binprod.symfun import (
+    denominator_from_power_sums,
+    denominator_via_symfun,
+    power_sums,
+    symmetric_square_via_symfun,
+)
 
 
 def rand_den(rng, deg):
@@ -62,6 +69,67 @@ class TestNewtonConversion:
             denominator_from_power_sums(power_sums(den, 3))
         # at 2x they are 1 +- i, which are algebraic integers
         assert denominator_from_power_sums(power_sums(den.scale_arg(2), 3)) == Poly([1, -2, 2])
+
+
+def power_sums_by_expansion(den, upto):
+    """The reference definition: p_0 = deg den, then the series of -x den'/den."""
+    tail = RatFun(-den.derivative().shift(1), den).expand(upto + 1).coeffs[1:]
+    return Series((den.degree, *tail))
+
+
+INTEGER_ROOTS = [1, -1, 2, -3]
+RATIONAL_ROOTS = [*INTEGER_ROOTS, Fraction(1, 2), Fraction(-2, 3)]
+
+
+def generated_cases(deg):
+    """Twelve (den, upto) with den(0) = 1, exact degree deg and upto past 2*deg.
+
+    A third of the dens have random rational coefficients.  The others are
+    products of linear factors drawn with replacement, so roots repeat, over
+    integer or rational roots.
+    """
+    rng = random.Random(100 + deg)
+    cases = []
+    for i in range(12):
+        if i % 3 == 0:
+            tail = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
+            den = Poly([1, *tail[:-1], tail[-1] or Fraction(1, 3)])
+        else:
+            roots = INTEGER_ROOTS if i % 3 == 1 else RATIONAL_ROOTS
+            den = math.prod((Poly([1, -rng.choice(roots)]) for _ in range(deg)), start=Poly.one())
+        cases.append((den, 2 * deg + rng.randint(1, 6)))
+    return cases
+
+
+class TestIntegerPowerSums:
+    """The forward Newton recurrence against the series of -x D'/D."""
+
+    @pytest.mark.parametrize("deg", range(1, 9))
+    def test_equal_the_series_of_the_log_derivative(self, deg):
+        for den, upto in generated_cases(deg):
+            assert den.degree == deg
+            assert power_sums(den, upto) == power_sums_by_expansion(den, upto)
+
+    def test_cases_cover_rational_coefficients_and_repeated_roots(self):
+        dens = [den for deg in range(1, 9) for den, _ in generated_cases(deg)]
+        assert sum(any(c.denominator > 1 for c in den.coeffs) for den in dens) >= 24
+        assert sum(poly_gcd(den, den.derivative()).degree > 0 for den in dens) >= 24
+
+    def test_short_and_empty_ranges(self):
+        den = Poly([1, Fraction(-1, 2), Fraction(1, 3)])
+        for upto in range(4):
+            assert power_sums(den, upto) == power_sums_by_expansion(den, upto)
+
+    def test_denominators_neither_expand_nor_rescale(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("symfun left the integers")
+
+        monkeypatch.setattr(RatFun, "expand", broken)
+        monkeypatch.setattr(Poly, "scale_arg", broken)
+        u, v = Poly([1, Fraction(-1, 2), -1]), Poly([1, -2, Fraction(1, 3), 1])
+        for kind in ("binomial", "hadamard"):
+            assert denominator_via_symfun(u, v, kind).degree == 6
+            assert symmetric_square_via_symfun(v, kind).degree == 6
 
 
 class TestCombinedPowerSums:
