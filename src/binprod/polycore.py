@@ -29,15 +29,11 @@ eliminate on those integers (Bareiss, Math. Comp. 22, 1968); the result is
 unpacked from balanced base-2^w digits and divided by the row scales.  A
 `Poly` product convolves in Z[x], and a one-term factor stays a scalar
 multiple.  `Poly.exact_div`, the division by a gcd in every fraction type,
-divides in Z[x] by the primitive part of the divisor.  `poly_gcd` is a
-modular gcd (Brown, J. ACM 18, 1971): it lifts the gcd of the primitive
-parts of both arguments by the Chinese remainder theorem from the monic
-gcds of their images in GF(p)[x], for primes p from 2^61 - 1 downward.
-A constant image proves the arguments coprime at once.  Every lifted
-candidate is trial divided into both arguments before it is returned;
-since no image gcd at a prime that divides neither leading coefficient has
-lower degree than the true gcd, a candidate that divides both is the gcd,
-so the answer is exact, not probabilistic.
+divides in Z[x] by the primitive part of the divisor.  `poly_gcd` packs
+the primitive parts of both arguments at one x = 2^w, takes one integer
+gcd and unpacks it the same way (Char, Geddes and Gonnet, J. Symbolic
+Comput. 7, 1989); the candidate is trial divided into both arguments
+before it is returned, and that makes the answer exact, not probabilistic.
 
 Every value is immutable after construction and every function is pure, so
 values can be shared freely between threads.
@@ -47,8 +43,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import cache
-from itertools import count, islice
+from itertools import islice
 from math import comb, gcd as int_gcd, isqrt, lcm
 
 from .errors import DivisibilityError, DivisionByZero, InvalidInput
@@ -410,7 +405,9 @@ class Poly(_DensePoly):
         return Poly._make([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), by Horner's rule over Poly arithmetic."""
+        """self(inner(x)), by Horner's rule over Poly arithmetic; inner may be a scalar."""
+        if not isinstance(inner, Scalar):
+            _check_type(inner, Poly, "the inner polynomial")
         acc = Poly()
         for c in reversed(self.coeffs):
             acc = acc * inner + c
@@ -474,51 +471,6 @@ def _signed_sum(terms: Iterable[tuple[Fraction, str]]) -> str:
     return "".join(pieces) or "0"
 
 
-_GCD_PRIME = (1 << 61) - 1
-
-# Miller-Rabin with the first 13 prime bases is exact below 3.3 * 10^24
-# (Sorenson and Webster, Math. Comp. 86, 2017), far above 2^61.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3 * 10^24."""
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@cache
-def _gcd_prime(i: int) -> int:
-    """The i-th prime from the Mersenne prime 2^61 - 1 downward.
-
-    Cached because a Miller-Rabin proof costs far more than an image gcd of
-    a small pair; the cache grows only to the number of primes that the
-    largest gcd lifted so far needed.
-    """
-    if i == 0:
-        return _GCD_PRIME
-    p = _gcd_prime(i - 1) - 2
-    while not _is_prime(p):
-        p -= 2
-    return p
-
-
 def _primitive_ints(f: Poly) -> list:
     """f cleared of denominators and content: a primitive Z[x] coefficient list."""
     ints = _cleared(f.coeffs)[0]
@@ -526,53 +478,33 @@ def _primitive_ints(f: Poly) -> list:
     return [c // g for c in ints]
 
 
-def _gfp_gcd(u: list, v: list, p: int) -> list:
-    """Monic gcd in GF(p)[x] of nonzero coefficient lists reduced mod p.
-
-    Euclid's algorithm; u is overwritten.
-    """
-    while len(v) > 1:
-        inv = pow(v[-1], -1, p)
-        dv = len(v) - 1
-        for k in range(len(u) - 1 - dv, -1, -1):
-            c = u[k + dv] * inv % p
-            if c:
-                for j in range(dv):
-                    u[k + j] = (u[k + j] - c * v[j]) % p
-        del u[dv:]
-        while u and not u[-1]:
-            u.pop()
-        if not u:
-            inv = pow(v[-1], -1, p)
-            return [c * inv % p for c in v]
-        u, v = v, u
-    return [1]
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; gcd(0, b) is monic(b).
 
     Raises InvalidInput when both arguments are zero, and returns 1 at once
-    when either is a nonzero constant.  Otherwise both are
-    cleared to primitive integer polynomials A and B, gamma = gcd(lc A, lc B),
-    and the gcd is lifted from its images in GF(p)[x], for the primes p from
-    2^61 - 1 downward that divide neither leading coefficient (Brown, J. ACM
-    18, 1971; von zur Gathen and Gerhard, Modern Computer Algebra, 6.7):
+    when either is a nonzero constant.  Otherwise both are cleared to
+    primitive integer polynomials A and B, and the gcd is read from one
+    integer gcd at x = xi = 2^w (GCDHEU: Char, Geddes and Gonnet, J.
+    Symbolic Comput. 7, 1989).  P is gcd(A(xi), B(xi)) unpacked in balanced
+    base-xi digits, so every coefficient of P is at most xi/2 in size; a
+    constant P proves the pair coprime, and otherwise the primitive part C
+    of P is trial divided into A and B in Z[x], and xi is squared until C
+    divides both.  w starts at one more than the bit length of
+    min(|A|_inf, |B|_inf), so xi >= 2 min(|A|_inf, |B|_inf) + 2.
 
-    * a constant image proves gcd(A, B) = 1 at once, so a coprime pair costs
-      one image gcd;
-    * an image of higher degree than the least seen so far is discarded, and
-      one of lower degree restarts the lift;
-    * otherwise gamma times the monic image joins the lift by the Chinese
-      remainder theorem, with coefficients in the symmetric range.
+    The answer is exact, not probabilistic.  Let G = gcd(A, B); it divides
+    the argument of smaller height, so by Cauchy's bound every root of G
+    has modulus below xi/2, and |Q(xi)| > xi/2 for every factor Q of G of
+    degree at least 1.  P(xi) = h |G(xi)| with h = gcd(Abar(xi), Bbar(xi))
+    for the cofactors Abar = A/G and Bbar = B/G.
 
-    When a prime leaves the lift unchanged, the primitive part G of the lift
-    is trial divided into A and B in Z[x].  The answer is exact, not
-    probabilistic: at a prime that divides neither leading coefficient the
-    image gcd has degree at least deg gcd(A, B), so a G of that degree
-    dividing both is the gcd.  When G fails the test, more primes follow;
-    the lift reaches gamma/lc(g) * g for the true gcd g once the product of
-    its primes exceeds twice that polynomial's largest coefficient.
+    * Constant P: if deg G >= 1, then |P| = h |G(xi)| > xi/2, which no
+      balanced digit is; so G = 1.
+    * Correctness: if C divides A and B, then G = C Q, and
+      |cont P| = h |Q(xi)|.  If deg Q >= 1 that exceeds xi/2 >= |cont P|,
+      which is impossible; so C = +-G.
+    * Termination: h divides Res(Abar, Bbar), which is nonzero.  Once
+      xi/2 > |Res(Abar, Bbar)| |G|_inf, P = +-h G and C passes the test.
 
     >>> poly_gcd(Poly([-1, 0, 1]), Poly([1, 2, 1]))
     Poly('1 + x')
@@ -588,42 +520,19 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if a.degree == 0 or b.degree == 0:
         return Poly.one()
     int_a, int_b = _primitive_ints(a), _primitive_ints(b)
-    lead_a, lead_b = int_a[-1], int_b[-1]
-    gamma = int_gcd(lead_a, lead_b)
-    # longer than any image, so the first usable prime starts the lift
-    length = min(len(int_a), len(int_b)) + 1
-    lift, modulus = [], 1
-    for i in count():
-        p = _gcd_prime(i)
-        if lead_a % p == 0 or lead_b % p == 0:
-            continue
-        image = _gfp_gcd([c % p for c in int_a], [c % p for c in int_b], p)
-        if len(image) == 1:
+    w = min(max(map(abs, int_a)), max(map(abs, int_b))).bit_length() + 1
+    while True:
+        p = _kronecker_unpack(int_gcd(_kronecker_pack(int_a, w), _kronecker_pack(int_b, w)), w)
+        if len(p) == 1:
             return Poly.one()
-        if len(image) > length:
-            continue
-        image = [gamma * c % p for c in image]
-        if len(image) < length:
-            length = len(image)
-            lift, modulus = [c - p if 2 * c > p else c for c in image], p
-            continue
-        inv = pow(modulus, -1, p)
-        new_modulus = modulus * p
-        new_lift = []
-        for h, c in zip(lift, image):
-            h += modulus * ((c - h) * inv % p)
-            new_lift.append(h - new_modulus if 2 * h > new_modulus else h)
-        modulus = new_modulus
-        if new_lift == lift:
-            content = int_gcd(*lift)
-            g = [c // content for c in lift]
-            try:
-                _zx_exact_div(int_a, g)
-                _zx_exact_div(int_b, g)
-            except DivisibilityError:
-                continue
+        content = int_gcd(*p)
+        g = [c // content for c in p]
+        try:
+            _zx_exact_div(int_a, g)
+            _zx_exact_div(int_b, g)
             return Poly(g).monic()
-        lift = new_lift
+        except DivisibilityError:
+            w *= 2
 
 
 def _as_poly(value) -> Poly:
@@ -671,7 +580,10 @@ def _zx_exact_div(a: list, b: list) -> list:
 
 
 def _kronecker_pack(ints: list, w: int) -> int:
-    """The value at x = 2^w of a Z[x] coefficient list (Kronecker substitution)."""
+    """The value at x = 2^w of a Z[x] coefficient list (Kronecker substitution).
+
+    Determinants eliminate on these values, and `poly_gcd` takes their gcd.
+    """
     v = 0
     for c in reversed(ints):
         v = (v << w) + c
@@ -683,7 +595,7 @@ def _kronecker_unpack(v: int, w: int) -> list:
 
     Reads v in balanced base-2^w digits, each in [-2^(w-1), 2^(w-1)), so
     it inverts `_kronecker_pack` for every list whose coefficients lie in
-    that range.
+    that range.  It reads back a determinant and a gcd candidate.
     """
     mask, half = (1 << w) - 1, 1 << (w - 1)
     out = []

@@ -111,7 +111,7 @@ def sequence_descriptions() -> dict[str, str]:
 
 def named_gf(name: str, params: Iterable = ()) -> NamedGF:
     """Look up a named generating function, checking the parameter count."""
-    if name not in _REGISTRY:
+    if _check_type(name, str, "a sequence name") not in _REGISTRY:
         raise InvalidInput(f"unknown sequence {name!r}; known: {', '.join(sequence_names())}")
     arities, builder, _ = _REGISTRY[name]
     values = tuple(_fr(p) for p in _iter(params, "parameters"))
@@ -469,8 +469,8 @@ def run_identity_suite(
         if bad:
             raise InvalidInput(f"unknown identity ids: {', '.join(sorted(bad))}")
     gfs = {name: named_gf(name).gf for name in ("fib", "lucas", "pell", "trib", "perrin", "jacobsthal", "r")}
-    if overrides:
-        gfs.update(overrides)
+    if overrides is not None:
+        gfs.update(_check_type(overrides, dict, "overrides"))
     checks = []
     for ident, slug, description, fn in _SUITE:
         if selected is not None and ident not in selected and slug not in selected:

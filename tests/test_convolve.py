@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -745,11 +746,19 @@ class TestRouteIndependence:
         def broken(*args, **kwargs):
             raise AssertionError("pfrac called another route's code")
 
+        pack = polycore._kronecker_pack
+
+        def gcd_only(*args):
+            # every route reduces its result by the one shared gcd
+            if sys._getframe(1).f_code is not polycore.poly_gcd.__code__:
+                raise AssertionError("pfrac packed integers outside poly_gcd")
+            return pack(*args)
+
+        monkeypatch.setattr(polycore, "_kronecker_pack", gcd_only)
         for module, name in [
             (polycore, "det_fraction_free"),
             (polycore, "resultant"),
             (polycore, "sylvester"),
-            (polycore, "_kronecker_pack"),
             (convolve, "resultant"),
             (symfun, "denominator_via_symfun"),
             (symfun, "symmetric_square_via_symfun"),

@@ -5,9 +5,10 @@ polynomials, repeated roots and non-integer rational coefficients; pairs
 with colliding root products or sums and constant operands are checked
 too.  The symfun denominators are also checked against the resultant ones
 on their own, including pairs whose root sums cancel, and symfun's
-symmetric square against the full resultant.  The shared-cubic
-split exists exactly when a sympy resultant says it should, and then sums
-back to the symfun product.  Printed functions read back through the
+symmetric square against the full resultant.  The gcd of polynomials with
+a planted common factor and coefficients up to 2^200 matches Euclid's.  The
+shared-cubic split exists exactly when a sympy resultant says it should, and
+then sums back to the symfun product.  Printed functions read back through the
 expression language.  The command line is fed generated expressions and
 raw junk, and must end every call in a documented exit code.  The draws
 are derandomized, so every run checks the same examples.
@@ -22,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from binprod import (  # noqa: E402
     METHODS,
@@ -34,7 +35,9 @@ from binprod import (  # noqa: E402
 )
 from binprod.cli import evaluate_text, main  # noqa: E402
 from binprod.convolve import binomial_denominator, hadamard_denominator, komatsu_decompose  # noqa: E402
+from binprod.polycore import poly_gcd  # noqa: E402
 from binprod.symfun import denominator_via_symfun, symmetric_square_via_symfun  # noqa: E402
+from test_polycore import euclid_gcd  # noqa: E402
 
 scalars = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 nonzero = scalars.filter(bool)
@@ -188,6 +191,23 @@ def test_symmetric_square_squared_is_the_full_resultant_times_the_diagonal(den):
     assert symmetric_square_via_symfun(den, "hadamard") ** 2 == hadamard_denominator(den, den) * diagonal
 
 
+# numerators up to 2^200 over denominators up to 2^16, of either sign
+huge = st.builds(Fraction, st.integers(-(1 << 200), 1 << 200), st.integers(1, 1 << 16))
+
+
+@st.composite
+def huge_polys(draw, max_deg):
+    deg = draw(st.integers(0, max_deg))
+    return Poly([*draw(st.lists(huge, min_size=deg, max_size=deg)), draw(huge.filter(bool))])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(huge_polys(4), huge_polys(8), huge_polys(8))
+def test_gcd_of_planted_factors_matches_euclid(g, u, v):
+    a, b = g * u, g * v
+    assert poly_gcd(a, b) == euclid_gcd(a, b)
+
+
 @st.composite
 def shared_cubics(draw):
     """(r, s), proper and nonzero over one D = 1 + A x + B x^2 + C x^3 with C != 0.
@@ -288,6 +308,11 @@ def run_cli(argv, seconds=10):
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(st.one_of(expressions(3), junk))
+# superscript digits pass str.isdigit, but int() refuses them
+@example("x^²")
+@example("2²")
+@example("fib^³")
+@example("¹")
 def test_every_cli_input_ends_in_a_documented_exit_code(text):
     for argv in (["eval", text], ["coeffs", text, "-n", "6"], ["bprod", "fib", text], ["hprod", "pell", text]):
         code, err = run_cli(argv)

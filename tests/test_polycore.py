@@ -139,6 +139,9 @@ class TestPolyBasics:
         p = Poly([1, 0, 1])  # 1 + x^2
         inner = Poly([0, 2, 1])
         assert p.compose(inner) == Poly.one() + inner * inner
+        # a scalar is a constant inner polynomial
+        assert p.compose(2) == p.compose(Poly([2])) == Poly([5])
+        assert p.compose(Fraction(1, 2)) == Poly([Fraction(5, 4)])
 
     def test_scale_arg_and_shift(self):
         p = Poly([1, 1, 1])
@@ -168,8 +171,7 @@ class TestPolyBasics:
 
     def test_gcd_when_prime_divides_a_leading_coefficient(self):
         # the common factor p*x + 1 vanishes mod p, leaving coprime images
-        # x + 2 and x + 3; only the leading-coefficient test keeps the
-        # certificate from answering 1
+        # x + 2 and x + 3, so a gcd read from that image would answer 1
         p = (1 << 61) - 1
         g = Poly([1, p])
         a = g * Poly([2, 1])
@@ -203,7 +205,7 @@ class TestPolyBasics:
             assert (got % g.monic()).is_zero()
 
     def test_modular_gcd_with_huge_coefficients(self):
-        # the lift needs several 61-bit primes before it settles
+        # the gcd candidate needs coefficients of more than 200 bits
         rng = random.Random(23)
         for _ in range(4):
             g = Poly([rng.getrandbits(230) - (1 << 229) for _ in range(3)] + [(1 << 201) + 7])
@@ -212,26 +214,25 @@ class TestPolyBasics:
             assert poly_gcd(a, b) == euclid_gcd(a, b) == g.monic()
 
     def test_modular_gcd_restarts_on_lower_degree(self):
-        # mod p both are (x + 1)(x - 1): the first image has degree 2
+        # mod p = 2^61 - 1 both are (x + 1)(x - 1), an image of degree 2
         p = (1 << 61) - 1
         a = Poly([1, 1]) * Poly([-1, 1])
         b = Poly([1, 1]) * Poly([-1 - p, 1])
         assert poly_gcd(a, b) == euclid_gcd(a, b) == Poly([1, 1])
 
     def test_modular_gcd_discards_a_later_unlucky_image(self):
-        # the second prime sees a degree-2 image after a degree-1 one
+        # mod p2 = 2^61 - 31, the second prime below 2^61, both are
+        # (x + 1)(x - 1), an image of degree 2
         p2 = (1 << 61) - 31
         a = Poly([1, 1]) * Poly([-1, 1])
         b = Poly([1, 1]) * Poly([-1 - p2, 1])
         assert poly_gcd(a, b) == euclid_gcd(a, b) == Poly([1, 1])
 
     def test_modular_gcd_trial_division_rejects_a_false_stable_lift(self, monkeypatch):
-        # 2^61 - 1 and 2^61 - 31 are the two largest primes below 2^61; the
-        # lift reads 5 after both, and only trial division rejects x + 5
-        p1, p2 = (1 << 61) - 1, (1 << 61) - 31
-        g = Poly([5 + p1 * p2, 1])
-        a = g * Poly([2, 1])
-        b = g * Poly([Fraction(3, 7), 1])
+        # at x = 4 the values are 5 and 10, whose gcd 5 unpacks to x + 1;
+        # only trial division rejects it, and x = 16 (17 and 22) proves the
+        # pair coprime
+        a, b = Poly([1, 1]), Poly([6, 1])
         rejected = []
         divide = polycore._zx_exact_div
 
@@ -243,8 +244,8 @@ class TestPolyBasics:
                 raise
 
         monkeypatch.setattr(polycore, "_zx_exact_div", spy)
-        assert poly_gcd(a, b) == euclid_gcd(a, b) == g
-        assert rejected == [[5, 1]]
+        assert poly_gcd(a, b) == euclid_gcd(a, b) == Poly.one()
+        assert rejected == [[1, 1]]
 
     def test_gcd_with_zero_and_constant_arguments(self):
         f = Poly([Fraction(2, 3), -4, 6])
@@ -257,19 +258,13 @@ class TestPolyBasics:
 
     def test_gcd_of_a_nonzero_constant_is_one_at_once(self, monkeypatch):
         def no_lift(f):
-            raise AssertionError("a constant argument needs no modular lift")
+            raise AssertionError("a constant argument needs no integer gcd")
 
         monkeypatch.setattr(polycore, "_primitive_ints", no_lift)
         f = Poly([Fraction(2, 3), -4, 6])
         for c in (Poly([7]), Poly([Fraction(-5, 2)])):
             assert poly_gcd(f, c) == poly_gcd(c, f) == Poly.one()
             assert poly_gcd(c, c) == Poly.one()
-
-    def test_gcd_primes_descend_from_2_61_minus_1(self):
-        sympy = pytest.importorskip("sympy")
-        primes = [polycore._gcd_prime(i) for i in range(6)]
-        assert primes[0] == (1 << 61) - 1
-        assert all(sympy.prevprime(p) == q for p, q in zip(primes, primes[1:]))
 
     def test_format(self):
         assert format_poly(Poly([1, -6, 7])) == "1 - 6*x + 7*x^2"

@@ -211,10 +211,19 @@ JUNK_CALLS = {
     "RatFun.compose_poly(3)": lambda: binprod.named_gf("fib").gf.compose_poly(3),
     "pseudo_divmod(3)": lambda: binprod.Poly([1, 1]).pseudo_divmod(3),
     "poly_gcd(p, 3)": lambda: poly_gcd(binprod.Poly([1, 1]), 3),
+    "compose(None)": lambda: binprod.Poly([1, 1]).compose(None),
+    "compose(1.5)": lambda: binprod.Poly([1, 1]).compose(1.5),
+    "compose('3')": lambda: binprod.Poly([1, 1]).compose("3"),
+    "compose([1, 2])": lambda: binprod.Poly([1, 1]).compose([1, 2]),
+    "named_gf([1, 2])": lambda: binprod.named_gf([1, 2]),
+    "run_identity_suite(overrides=-7)": lambda: binprod.run_identity_suite(overrides=-7),
+    "run_identity_suite(overrides=1.5)": lambda: binprod.run_identity_suite(overrides=1.5),
+    "run_identity_suite(overrides='3')": lambda: binprod.run_identity_suite(overrides="3"),
+    "run_identity_suite(overrides=[1, 2])": lambda: binprod.run_identity_suite(overrides=[1, 2]),
 }
 
 
 @pytest.mark.parametrize("call", JUNK_CALLS.values(), ids=JUNK_CALLS)
 def test_junk_arguments_raise_invalid_input(call):
-    with pytest.raises(binprod.InvalidInput, match="must be (iterable|a Poly|a str), not (NoneType|int)"):
+    with pytest.raises(binprod.InvalidInput, match="must be (iterable|a Poly|a str|a dict), not (NoneType|int|float|str|list)"):
         call()
