@@ -72,7 +72,8 @@ def tokenize(text: str) -> list[Token]:
             continue
         if ch.isalpha() or ch == "_":
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            # isalnum would take superscript digits into the name
+            while j < n and (text[j].isalpha() or text[j].isdecimal() or text[j] == "_"):
                 j += 1
             tokens.append(Token(_NAME, text[i:j], i))
             i = j

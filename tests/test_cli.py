@@ -70,6 +70,16 @@ class TestTokenizer:
         assert exc.value.position == 4
         assert "at position 4" in str(exc.value)
 
+    def test_names_continue_with_letters_decimal_digits_and_underscores(self):
+        toks = tokenize("fib2 xy a_1")
+        assert [(t.kind, t.text) for t in toks[:3]] == [("name", "fib2"), ("name", "xy"), ("name", "a_1")]
+
+    @pytest.mark.parametrize("text, position", [("x²", 1), ("fib²", 3), ("x₂", 1)])
+    def test_superscript_or_subscript_digit_ends_a_name_in_a_parse_error(self, capsys, text, position):
+        assert main(["eval", text]) == 2
+        err = capsys.readouterr().err
+        assert err == f"parse error: unexpected character {text[-1]!r} at position {position}\n"
+
 
 class TestParser:
     def test_product_operators_bind_loosest(self):

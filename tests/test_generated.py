@@ -313,6 +313,10 @@ def run_cli(argv, seconds=10):
 @example("2²")
 @example("fib^³")
 @example("¹")
+# and str.isalnum, so they must not continue a name either
+@example("x²")
+@example("fib²")
+@example("x₂")
 def test_every_cli_input_ends_in_a_documented_exit_code(text):
     for argv in (["eval", text], ["coeffs", text, "-n", "6"], ["bprod", "fib", text], ["hprod", "pell", text]):
         code, err = run_cli(argv)
