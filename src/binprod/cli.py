@@ -21,6 +21,7 @@ import json
 import operator
 import shlex
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .convolve import (
@@ -33,7 +34,6 @@ from .convolve import (
 from .errors import BinprodError, InternalInvariantViolation, InvalidInput, ParseError
 from .polycore import Poly, _check_int, _signed_sum, format_poly
 from .ratfun import RatFun, Series, format_ratfun, reconstruct_rational
-from .record import Record
 from .seqlib import named_gf, run_identity_suite, sequence_descriptions
 
 # ---------------------------------------------------------------------------
@@ -51,8 +51,8 @@ _OP_CHARS = "+-*/^(),⊙∗"
 MAX_NESTING = 100
 
 
-class Token(Record):
-    __slots__ = _fields = ("kind", "text", "pos")
+class Token(namedtuple("Token", "kind text pos")):
+    __slots__ = ()
 
 
 def tokenize(text: str) -> list[Token]:

@@ -40,6 +40,7 @@ denominator code.  A self-product expands its operand once.
 from __future__ import annotations
 
 import shlex
+from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from math import comb, factorial
@@ -64,7 +65,6 @@ from .polycore import (
     _fr,
 )
 from .ratfun import RatFun, Series, _recover_numerator, series_binomial, series_hadamard
-from .record import Record
 
 METHODS = ("resultant", "symfun", "pfrac", "reconstruct")
 
@@ -124,14 +124,14 @@ def _resultant_denominator(substitute: Callable[[Poly], BiPoly], uden: Poly, vde
 # the main pipeline: denominator bound + numerator recovery
 
 
-class ProductPlan(Record):
+class ProductPlan(namedtuple("ProductPlan", "den_bound num_deg_bound")):
     """A denominator bound and numerator degree bound for one product.
 
     The true product is T / den_bound for some polynomial T with
     deg(T) <= num_deg_bound; reduction to lowest terms happens afterwards.
     """
 
-    __slots__ = _fields = ("den_bound", "num_deg_bound")
+    __slots__ = ()
 
 
 def _plan(kind: str, a: RatFun, b: RatFun, method: str) -> ProductPlan:

@@ -14,6 +14,7 @@ a regression harness: a deliberately wrong generating function passed via
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
@@ -30,17 +31,16 @@ from .polycore import (
     _iter,
 )
 from .ratfun import RatFun
-from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # named generating functions
 
 
-class NamedGF(Record):
+class NamedGF(namedtuple("NamedGF", "name params gf")):
     """A registry entry: a sequence name, its parameters, and its series."""
 
-    __slots__ = _fields = ("name", "params", "gf")
+    __slots__ = ()
 
 
 def _fib_gf() -> RatFun:
@@ -174,19 +174,18 @@ def _parity(n: int) -> int:
 # identity suite
 
 
-class IdentityCheck(Record):
+class IdentityCheck(namedtuple("IdentityCheck", "id slug description params status witness", defaults=("",))):
     """Outcome of one identity: exact pass/fail plus a failure witness."""
 
-    __slots__ = _fields = ("id", "slug", "description", "params", "status", "witness")
-    _defaults = {"witness": ""}
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
 
-class IdentityReport(Record):
-    __slots__ = _fields = ("checks",)
+class IdentityReport(namedtuple("IdentityReport", "checks")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -205,7 +204,7 @@ class IdentityReport(Record):
         return "\n".join(lines)
 
     def to_records(self) -> list[dict]:
-        return [dict(zip(IdentityCheck._fields, c._values())) for c in self.checks]
+        return [c._asdict() for c in self.checks]
 
 
 DEFAULT_SEED = "binprod-identity-suite"
