@@ -797,11 +797,14 @@ def _row_reduce(rows: Sequence[Sequence], rhs: Sequence):
 def solve_exact(rows: Sequence[Sequence], rhs: Sequence):
     """One exact solution of rows * v = rhs over Fraction, or None if inconsistent.
 
-    Free variables are set to zero.
+    Entries must be integers or Fractions and the rows of one length;
+    anything else is InvalidInput.  Free variables are set to zero.
     """
     if len(rows) != len(rhs):
         raise InvalidInput("matrix and right-hand side sizes differ")
-    aug, pivots, consistent = _row_reduce(rows, rhs)
+    if len({len(r) for r in rows}) > 1:
+        raise InvalidInput("matrix rows differ in length")
+    aug, pivots, consistent = _row_reduce([[_fr(e) for e in r] for r in rows], [_fr(b) for b in rhs])
     if not consistent:
         return None
     sol = [Fraction(0)] * (len(rows[0]) if rows else 0)

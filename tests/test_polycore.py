@@ -683,6 +683,20 @@ class TestSolvers:
             assert got is not None
             assert [sum(r[j] * got[j] for j in range(n)) for r in rows] == rhs
 
+    def test_integer_entries_solve_over_fractions(self):
+        got = solve_exact([[3]], [1])
+        assert got == [Fraction(1, 3)] and type(got[0]) is Fraction
+        assert solve_exact([[2, 1], [1, 1]], [1, 0]) == [Fraction(1), Fraction(-1)]
+
+    @pytest.mark.parametrize("rows, rhs", [([[1.5]], [1]), ([[1]], [0.5]), ([["1"]], [1])])
+    def test_non_rational_entries_are_invalid_input(self, rows, rhs):
+        with pytest.raises(InvalidInput, match="expected an integer or Fraction"):
+            solve_exact(rows, rhs)
+
+    def test_ragged_rows_are_invalid_input(self):
+        with pytest.raises(InvalidInput, match="rows differ in length"):
+            solve_exact([[1, 2], [3]], [1, 2])
+
 
 def test_denominators_are_read_only_in_cleared():
     """Every step from Fraction coefficients to integers goes through `_cleared`.
