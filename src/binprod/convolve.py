@@ -43,7 +43,7 @@ import shlex
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from . import symfun
 from .errors import (
@@ -62,7 +62,6 @@ from .polycore import (
     solve_exact,
     sub_one_minus_y,
     sub_x_over_y,
-    _fr,
 )
 from .ratfun import RatFun, Series, _recover_numerator, series_binomial, series_hadamard
 
@@ -354,22 +353,7 @@ def _lift(f) -> RatFun:
 
 
 # ---------------------------------------------------------------------------
-# closed forms
-
-
-def closed_form_bprod(j: int, alpha, k: int, beta) -> RatFun:
-    """x^j/(1-alpha x)^{j+1} (binomial) x^k/(1-beta x)^{k+1} in closed form.
-
-    Equals C(j+k, j) x^{j+k} / (1 - (alpha+beta) x)^{j+k+1}.  These operands
-    generate C(n,j) alpha^{n-j} and C(n,k) beta^{n-k}, and the binomial
-    product stays in the same family.
-    """
-    if j < 0 or k < 0:
-        raise InvalidInput("indices must be nonnegative")
-    alpha, beta = _fr(alpha), _fr(beta)
-    num = Poly.monomial(j + k, comb(j + k, j))
-    den = Poly([1, -(alpha + beta)]) ** (j + k + 1)
-    return RatFun(num, den)
+# products with a monomial
 
 
 def poly_bprod(m: int, a: RatFun) -> RatFun:
@@ -385,30 +369,6 @@ def poly_bprod(m: int, a: RatFun) -> RatFun:
     for _ in range(m):
         g = g.derivative()
     return RatFun(g.num.shift(m), g.den) / factorial(m)
-
-
-def closed_form_hprod(i: int, a, m: int, j: int, b, n: int) -> RatFun:
-    """x^i/(1-ax)^{m+1} (hadamard) x^j/(1-bx)^{n+1} in closed form.
-
-    Requires i <= m+j and j <= n+i.  The result is
-
-        sum_k C(m+j-i, k-i) C(n+i-j, k-j) a^{k-i} b^{k-j} x^k
-        ------------------------------------------------------
-                        (1 - a b x)^{m+n+1}
-
-    where k runs from max(i,j) to min(n+i, m+j); the numerator is also the
-    termwise product of x^i (1+ax)^{m+j-i} and x^j (1+bx)^{n+i-j}.
-    """
-    if i < 0 or j < 0 or m < 0 or n < 0:
-        raise InvalidInput("indices must be nonnegative")
-    if i > m + j or j > n + i:
-        raise InvalidInput("need i <= m+j and j <= n+i for the closed form")
-    a, b = _fr(a), _fr(b)
-    coeffs = [Fraction(0)] * (min(n + i, m + j) + 1)
-    for k in range(max(i, j), min(n + i, m + j) + 1):
-        coeffs[k] = comb(m + j - i, k - i) * comb(n + i - j, k - j) * a ** (k - i) * b ** (k - j)
-    den = Poly([1, -a * b]) ** (m + n + 1)
-    return RatFun(Poly(coeffs), den)
 
 
 # ---------------------------------------------------------------------------

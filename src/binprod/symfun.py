@@ -2,7 +2,7 @@
 
 For a denominator D = 1 + c_1 x + ... + c_m x^m = prod(1 - alpha_i x) the
 power sums p_k = sum alpha_i^k of the reciprocal roots are the coefficients
-of the series -x D'(x) / D(x), with p_0 = m.  `power_sums` computes them by
+of the series -x D'(x) / D(x), with p_0 = m.  `_power_sums` computes them by
 Newton's identity run forwards,
 
     p_k = -k c_k - sum_{i=1..k-1} c_i p_{k-i}    (c_k = 0 for k > m),
@@ -20,7 +20,7 @@ the integer kernel of `series_binomial`.  Newton's identity
     k d_k = -sum_{i=1..k} p_i d_{k-i},   d_0 = 1
 
 then gives the coefficients d_k of the product denominator without ever
-computing a root (`denominator_from_power_sums`).  This is a second, fully
+computing a root (`_newton`).  This is a second, fully
 independent route to the product denominators computed by resultants in
 `convolve`, and the default one.  For two proper operands over one
 square-free denominator, `symmetric_square_via_symfun` gives the product
@@ -53,22 +53,7 @@ from operator import add, mul
 
 from .errors import InternalInvariantViolation, InvalidInput
 from .polycore import Poly, _cleared
-from .ratfun import Series, _binomial_ints
-
-
-def power_sums(den: Poly, upto: int) -> Series:
-    """p_0..p_upto of the reciprocal roots of den, with p_0 = deg den.
-
-    den must have constant term 1; p_1, p_2, ... are the coefficients of
-    -x den'(x) / den(x).  They are the integer power sums of den(Lx), L the
-    lcm of den's coefficient denominators, each divided by L^k.
-
-    >>> power_sums(Poly([1, -1, -1]), 4).coeffs
-    (Fraction(2, 1), Fraction(1, 1), Fraction(3, 1), Fraction(4, 1), Fraction(7, 1))
-    """
-    cleared = _cleared_den(den)
-    scale = cleared[1]
-    return Series(Fraction(p, scale**k) for k, p in enumerate(_power_sums(cleared, scale, upto)))
+from .ratfun import _binomial_ints
 
 
 def _cleared_den(den: Poly) -> tuple[list, int]:
@@ -96,27 +81,6 @@ def _power_sums(cleared: tuple[list, int], scale: int, upto: int) -> list[int]:
         head = -k * taps[m - k] if k <= m else 0
         p.append(head - sum(map(mul, taps[m - j :], p[k - j :])))
     return p
-
-
-def denominator_from_power_sums(p: Series) -> Poly:
-    """prod(1 - alpha_i x) from the power sums p_0, p_1, ... of the alpha_i.
-
-    The alpha_i must be algebraic integers, so that every p_k and every
-    coefficient d_k of the product is an integer.  Newton's identity gives
-    d_1, ..., d_k for k = len(p) - 1 on integers, with an exact division by
-    k at each step; the product is exact when k is at least the number of
-    roots.
-
-    Raises InvalidInput when a power sum is not an integer or a division by
-    k leaves a remainder: the alpha_i are then not algebraic integers.
-
-    >>> print(denominator_from_power_sums(Series([4, 2, 18, 56, 238])))
-    1 - 2*x - 7*x^2 - 2*x^3 + x^4
-    """
-    ints, s = _cleared(p.coeffs)
-    if s != 1:
-        raise InvalidInput("power sums of algebraic integers must be integers")
-    return Poly(_newton(ints))
 
 
 def _newton(p: list[int]) -> list[int]:

@@ -26,11 +26,10 @@ from binprod import (
     run_identity_suite,
 )
 from binprod.cli import main
-from binprod.convolve import closed_form_bprod, closed_form_hprod
 from binprod.polycore import det_fraction_free, sub_one_minus_y, sub_x_over_y, sylvester
 from binprod.ratfun import series_binomial, series_hadamard
 from binprod.seqlib import identity_ids
-from binprod.symfun import denominator_from_power_sums, power_sums
+from oracles import closed_form_bprod, closed_form_hprod, denominator_from_power_sums, power_sums
 
 
 def announce(n: int, text: str) -> None:

@@ -20,8 +20,6 @@ from binprod import (
 from binprod import convolve, pfrac, polycore, ratfun, symfun
 from binprod.convolve import (
     binomial_denominator,
-    closed_form_bprod,
-    closed_form_hprod,
     hadamard_denominator,
     komatsu_decompose,
     plan_binomial,
@@ -29,6 +27,7 @@ from binprod.convolve import (
     poly_bprod,
 )
 from binprod.ratfun import Series, series_binomial, series_hadamard
+from oracles import closed_form_bprod, closed_form_hprod
 
 
 def brute_binomial(a: RatFun, b: RatFun, order: int):

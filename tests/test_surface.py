@@ -58,8 +58,6 @@ INTERNAL = {
     "convolve": [
         "ProductPlan",
         "binomial_denominator",
-        "closed_form_bprod",
-        "closed_form_hprod",
         "hadamard_denominator",
         "komatsu_decompose",
         "plan_binomial",

@@ -10,12 +10,8 @@ from binprod import InvalidInput, Poly, RatFun
 from binprod.convolve import binomial_denominator, hadamard_denominator
 from binprod.polycore import poly_gcd
 from binprod.ratfun import Series, series_binomial, series_hadamard
-from binprod.symfun import (
-    denominator_from_power_sums,
-    denominator_via_symfun,
-    power_sums,
-    symmetric_square_via_symfun,
-)
+from binprod.symfun import denominator_via_symfun, symmetric_square_via_symfun
+from oracles import denominator_from_power_sums, power_sums
 
 
 def rand_den(rng, deg):
