@@ -261,10 +261,5 @@ def test_every_command_prints_what_the_corpus_recorded():
         assert got == entry, f"first command whose output differs: binprod {shlex.join(entry['argv'])}"
 
 
-def test_corpus_covers_every_exit_code_but_failures():
-    # 3 needs a failing identity and 4 a bug; the CLI tests force both
-    assert {entry["exit"] for entry in load()} == {0, 1, 2}
-
-
 if __name__ == "__main__":
     regenerate()
