@@ -42,7 +42,6 @@ from __future__ import annotations
 import shlex
 from collections import namedtuple
 from collections.abc import Callable
-from fractions import Fraction
 from math import factorial
 
 from . import symfun
