@@ -10,26 +10,52 @@ import pickle
 
 import pytest
 
-from binprod import Poly, named_gf
-from binprod.cli import Token
-from binprod.convolve import ProductPlan
-from binprod.seqlib import IdentityCheck, IdentityReport, NamedGF
+from binprod import Poly, RatFun, named_gf
+from binprod.cli import Token, tokenize
+from binprod.convolve import ProductPlan, plan_binomial, plan_hadamard
+from binprod.seqlib import (
+    IdentityCheck,
+    IdentityReport,
+    NamedGF,
+    run_identity_suite,
+    sequence_names,
+)
 
 CHECK = IdentityCheck("a", "slug", "what it says", "no parameters", "pass")
 
+# Each value class as the library builds it: a token of each kind, the plans
+# of both direct routes, every registered sequence, a passing and a failing
+# identity check, and a report.
+FIB, PELL = named_gf("fib").gf, named_gf("pell").gf
+WRONG_LUCAS = named_gf("lucas").gf + RatFun(Poly([0, 1]))
+SEQUENCE_PARAMS = {"q": (2,), "g": (1, 1)}
+VALUES = {
+    **{f"Token-{token.kind}": token for token in tokenize("fib ** 2")},
+    "ProductPlan-binomial-symfun": plan_binomial(FIB, PELL, "symfun"),
+    "ProductPlan-binomial-resultant": plan_binomial(FIB, PELL, "resultant"),
+    "ProductPlan-hadamard-symfun": plan_hadamard(FIB, PELL, "symfun"),
+    "ProductPlan-self-symfun": plan_binomial(FIB, FIB, "symfun"),
+    **{
+        f"NamedGF-{name}": named_gf(name, SEQUENCE_PARAMS.get(name, ()))
+        for name in sequence_names()
+    },
+    "IdentityCheck-pass": run_identity_suite(only="a").checks[0],
+    "IdentityCheck-fail": run_identity_suite(only="a", overrides={"lucas": WRONG_LUCAS}).checks[0],
+    "IdentityReport": run_identity_suite(only="a,k"),
+}
 # one instance of each value class of binprod
 INSTANCES = [
-    Token("op", "+", 2),
-    ProductPlan(Poly([1, -1]), 3),
-    named_gf("fib"),
+    VALUES["Token-op"],
+    VALUES["ProductPlan-binomial-symfun"],
+    VALUES["NamedGF-fib"],
     CHECK,
-    IdentityReport((CHECK,)),
+    VALUES["IdentityReport"],
 ]
-IDS = [type(value).__name__ for value in INSTANCES]
+by_value = pytest.mark.parametrize("value", list(VALUES.values()), ids=list(VALUES))
 
 
 class TestEquality:
-    @pytest.mark.parametrize("value", INSTANCES, ids=IDS)
+    @by_value
     def test_equal_copies_hash_equal(self, value):
         twin = type(value)(*(getattr(value, name) for name in value._fields))
         assert twin is not value
@@ -42,15 +68,15 @@ class TestEquality:
         assert ProductPlan(den, 2) != ProductPlan(den, 3)
         assert ProductPlan(den, 2) != ProductPlan(Poly([1, -3]), 2)
 
-    def test_a_value_equals_the_plain_tuple_of_its_fields(self):
-        den = Poly([1, -3, 1])
-        assert ProductPlan(den, 2) == (den, 2)
-        assert hash(ProductPlan(den, 2)) == hash((den, 2))
-        assert Token("name", "fib", 0) == ("name", "fib", 0)
+    @by_value
+    def test_a_value_equals_the_plain_tuple_of_its_fields(self, value):
+        fields = tuple(getattr(value, name) for name in value._fields)
+        assert value == fields and not value != fields
+        assert hash(value) == hash(fields)
 
 
 class TestImmutability:
-    @pytest.mark.parametrize("value", INSTANCES, ids=IDS)
+    @by_value
     def test_fields_cannot_be_assigned_or_added(self, value):
         for name in value._fields:
             with pytest.raises(AttributeError):
@@ -61,7 +87,7 @@ class TestImmutability:
             value.extra = 1
         assert not hasattr(value, "__dict__")
 
-    @pytest.mark.parametrize("value", INSTANCES, ids=IDS)
+    @by_value
     def test_copy_and_pickle_rebuild_equal_values(self, value):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(twin) is type(value)
@@ -71,6 +97,9 @@ class TestImmutability:
 class TestConstruction:
     def test_defaults(self):
         assert CHECK.witness == ""
+        assert VALUES["IdentityCheck-pass"].witness == ""
+        failed = VALUES["IdentityCheck-fail"]
+        assert failed.status == "fail" and failed.witness != ""
         assert IdentityCheck("a", "s", "d", "p", "fail", "x != y").witness == "x != y"
 
     def test_keyword_construction_and_field_order(self):
@@ -100,6 +129,14 @@ class TestConstruction:
             (lambda: IdentityCheck("a", "s", "d", "p"), "missing 1 required positional argument: 'status'"),
             (lambda: NamedGF(name="fib", params=(), series=None), "unexpected keyword argument 'series'"),
             (lambda: Token("op", kind="op", text="+", pos=0), "multiple values for argument 'kind'"),
+            (lambda: NamedGF("fib", (), FIB, ()), "takes 4 positional arguments but 5 were given"),
+            (lambda: IdentityCheck(*"asdpfwx"), "takes from 6 to 7 positional arguments but 8 were given"),
+            (lambda: IdentityReport(), "missing 1 required positional argument: 'checks'"),
+            (lambda: ProductPlan(Poly.one(), 1, bound=2), "unexpected keyword argument 'bound'"),
+            (
+                lambda: IdentityCheck("a", id="a", slug="s", description="d", params="p", status="pass"),
+                "multiple values for argument 'id'",
+            ),
         ],
     )
     def test_bad_calls_raise_type_error(self, build, message):
